@@ -68,6 +68,20 @@ fn has_code_target(format: Format) -> bool {
 /// program, a candidate's TIE source fails to parse, or composition
 /// fails (duplicate mnemonic / conflicting state widths).
 pub fn apply(base: &Workload, picked: &[&Candidate]) -> Result<Workload, String> {
+    let sets = picked
+        .iter()
+        .map(|cand| {
+            parse_extension(&cand.tie)
+                .map_err(|e| format!("candidate `{}` failed to parse: {e}", cand.name))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let parsed: Vec<(&Candidate, &ExtensionSet)> = picked.iter().copied().zip(&sets).collect();
+    rewrite(base, &parsed)
+}
+
+/// [`apply`] over candidates whose TIE sources are already parsed: each
+/// candidate comes with its compiled extension set.
+fn rewrite(base: &Workload, picked: &[(&Candidate, &ExtensionSet)]) -> Result<Workload, String> {
     let program = base.program();
     let text = program.text();
     let n = text.len();
@@ -75,7 +89,7 @@ pub fn apply(base: &Workload, picked: &[&Candidate]) -> Result<Workload, String>
     // Greedy non-overlapping site claiming, in the given order.
     let mut occupied = vec![false; n];
     let mut applications: Vec<(usize, &crate::report::Site)> = Vec::new();
-    for (ci, cand) in picked.iter().enumerate() {
+    for (ci, (cand, _)) in picked.iter().enumerate() {
         for site in &cand.sites {
             if site.members.is_empty() || site.members.iter().any(|&m| m >= n) {
                 return Err(format!(
@@ -124,28 +138,24 @@ pub fn apply(base: &Workload, picked: &[&Candidate]) -> Result<Workload, String>
     }
     orig_names.sort();
 
-    // Parse each applied candidate and compose one extension set.
-    let applied: Vec<usize> = {
+    // Compose one extension set from the applied candidates.
+    let applied: Vec<(&Candidate, &ExtensionSet)> = {
         let mut seen: Vec<usize> = applications.iter().map(|&(ci, _)| ci).collect();
         seen.sort_unstable();
         seen.dedup();
-        seen
+        seen.into_iter().map(|ci| picked[ci]).collect()
     };
-    let mut cand_sets: Vec<(String, ExtensionSet)> = Vec::new();
-    for &ci in &applied {
-        let cand = picked[ci];
-        let set = parse_extension(&cand.tie)
-            .map_err(|e| format!("candidate `{}` failed to re-parse: {e}", cand.name))?;
-        cand_sets.push((cand.name.clone(), set));
-    }
     let suffix: String = applied
         .iter()
-        .map(|&ci| format!("+{}", picked[ci].name))
+        .map(|(cand, _)| format!("+{}", cand.name))
         .collect();
     let orig_name_refs: Vec<&str> = orig_names.iter().map(String::as_str).collect();
-    let cand_name_slices: Vec<[&str; 1]> = cand_sets.iter().map(|(n, _)| [n.as_str()]).collect();
+    let cand_name_slices: Vec<[&str; 1]> = applied
+        .iter()
+        .map(|(cand, _)| [cand.name.as_str()])
+        .collect();
     let mut picks: Vec<(&ExtensionSet, &[&str])> = vec![(base.ext(), &orig_name_refs)];
-    for ((_, set), names) in cand_sets.iter().zip(&cand_name_slices) {
+    for (&(_, set), names) in applied.iter().zip(&cand_name_slices) {
         picks.push((set, names));
     }
     let composed = ExtensionSet::compose(format!("{}{suffix}", base.name()), &picks)
@@ -179,7 +189,7 @@ pub fn apply(base: &Workload, picked: &[&Candidate]) -> Result<Workload, String>
         }
         if let Some(&(ci, site)) = anchor_of.get(&i) {
             new_text.push(Inst::Custom(CustomSlot {
-                id: id_of(&picked[ci].name)?,
+                id: id_of(&picked[ci].0.name)?,
                 rd: Reg::new(site.rd),
                 rs: Reg::new(site.rs),
                 rt: Reg::new(site.rt),
@@ -243,8 +253,10 @@ pub fn apply(base: &Workload, picked: &[&Candidate]) -> Result<Workload, String>
 /// Builds an [`emx_dse::CandidateSpace`] from a report's top candidates.
 ///
 /// The space's options are the report's first `top` candidates (capped
-/// at [`MAX_OPTIONS`]); its resolver rewrites the base workload with
-/// exactly the selected subset, claiming sites in rank order. The
+/// at [`MAX_OPTIONS`]), each parsed once into its option's extension set;
+/// its resolver rewrites the base workload with exactly the selected
+/// subset, claiming sites in rank order and composing from those parsed
+/// sets, so enumerating `2^top` subsets parses no TIE source again. The
 /// explorer's `base` point is the unmodified workload, so the discovered
 /// space prices the hand-written extension configuration as-is alongside
 /// every discovered subset.
@@ -272,7 +284,7 @@ pub fn candidate_space(report: &Report, top: usize) -> Result<CandidateSpace, St
         // Pre-validate: every single-candidate rewrite must succeed, so
         // the (infallible) resolver below can only hit the multi-select
         // compose path, which cannot fail for same-origin candidates.
-        apply(&base, &[cand])?;
+        rewrite(&base, &[(cand, &ext)])?;
         options.push(DesignOption {
             name: cand.name.clone(),
             ext,
@@ -281,8 +293,15 @@ pub fn candidate_space(report: &Report, top: usize) -> Result<CandidateSpace, St
 
     let space_name = format!("discovered:{}", report.workload);
     Ok(CandidateSpace::new(space_name, options, move |sel| {
-        let picked: Vec<&Candidate> = chosen.iter().filter(|c| sel.has_inst(&c.name)).collect();
-        apply(&base, &picked).expect("pre-validated candidate failed to apply")
+        // Rank order, each candidate with its selected option's parsed set.
+        let picked: Vec<(&Candidate, &ExtensionSet)> = chosen
+            .iter()
+            .filter_map(|c| {
+                let option = sel.options().iter().find(|o| o.name == c.name)?;
+                Some((c, &option.ext))
+            })
+            .collect();
+        rewrite(&base, &picked).expect("pre-validated candidate failed to apply")
     }))
 }
 

@@ -121,3 +121,34 @@ fn candidate_space_base_point_is_the_unmodified_workload() {
     let rs1 = registry::by_name("rs1").unwrap();
     assert_eq!(base.workload.program().len(), rs1.program().len());
 }
+
+#[test]
+fn parsed_once_space_resolves_like_a_fresh_apply() {
+    let report = discover_rs1(1);
+    let space = bridge::candidate_space(&report, 8).expect("space builds");
+    let enumerated = space.enumerate(None).expect("enumerates");
+    assert_eq!(enumerated.enumerated, 256);
+    assert_eq!(enumerated.candidates.len(), 108);
+    let base = registry::by_name("rs1").unwrap();
+    let names = |w: &emx_workloads::Workload| -> Vec<String> {
+        w.ext().iter().map(|i| i.name().to_owned()).collect()
+    };
+    for survivor in &enumerated.candidates {
+        // The survivor's options in rank order, each TIE parsed here.
+        let picked: Vec<&emx_discover::report::Candidate> = report
+            .candidates
+            .iter()
+            .filter(|c| survivor.options.contains(&c.name))
+            .collect();
+        assert_eq!(picked.len(), survivor.options.len(), "{}", survivor.name);
+        let area = picked.iter().fold(0.0f64, |acc, c| {
+            acc + emx_dse::area_cost(&parse_extension(&c.tie).expect("candidate parses"))
+        });
+        let fresh = bridge::apply(&base, &picked).expect("apply succeeds");
+        let resolved = &survivor.workload;
+        assert_eq!(resolved.name(), fresh.name(), "{}", survivor.name);
+        assert_eq!(resolved.program(), fresh.program(), "{}", survivor.name);
+        assert_eq!(names(resolved), names(&fresh), "{}", survivor.name);
+        assert_eq!(survivor.area, area, "{}", survivor.name);
+    }
+}

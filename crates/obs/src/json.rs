@@ -145,14 +145,11 @@ impl Value {
     /// [`ParseError`] with a byte offset on malformed input, including
     /// trailing garbage after the top-level value.
     pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(value)
@@ -307,21 +304,31 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+fn err_at(offset: usize, message: &str) -> ParseError {
+    ParseError {
+        offset,
+        message: message.to_owned(),
+    }
+}
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The whole document. It is a `&str`, so every run of bytes between
+    /// two ASCII delimiters is valid UTF-8 and can be copied as a slice.
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn err(&self, message: &str) -> ParseError {
-        ParseError {
-            offset: self.pos,
-            message: message.to_owned(),
-        }
+        err_at(self.pos, message)
+    }
+
+    fn bytes(&self) -> &[u8] {
+        self.text.as_bytes()
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -340,7 +347,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -384,8 +391,8 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Value::Num)
             .map_err(|_| self.err("malformed number"))
     }
@@ -394,13 +401,21 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy everything up to the next `"` or `\` as one slice: both
+            // are ASCII, so the run ends on a character boundary.
+            let run = self.bytes()[self.pos..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\')
+                .map_or(self.text.len(), |n| self.pos + n);
+            out.push_str(&self.text[self.pos..run]);
+            self.pos = run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -411,33 +426,45 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 5 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed for emx's own
-                            // ASCII-only artifacts; map them to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
+                        Some(b'u') => out.push(self.unicode_escape()?),
                         _ => return Err(self.err("bad escape")),
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
             }
         }
+    }
+
+    /// Decodes the `\u` escape whose `u` is at `self.pos`, joining a
+    /// high surrogate with an immediately following `\u` low surrogate.
+    /// A surrogate without its partner decodes to U+FFFD. Leaves `pos` on
+    /// the escape's last hex digit.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let code = self.hex4(self.pos)?;
+        self.pos += 4;
+        if (0xd800..0xdc00).contains(&code) && self.bytes()[self.pos + 1..].starts_with(b"\\u") {
+            let low = self.hex4(self.pos + 2)?;
+            if (0xdc00..0xe000).contains(&low) {
+                self.pos += 6;
+                let joined = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                return Ok(char::from_u32(joined).expect("a surrogate pair is a scalar value"));
+            }
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
+    }
+
+    /// The four hex digits after the `u` at byte `u`.
+    fn hex4(&self, u: usize) -> Result<u32, ParseError> {
+        let digits = self
+            .bytes()
+            .get(u + 1..u + 5)
+            .ok_or_else(|| err_at(u, "truncated \\u escape"))?;
+        digits.iter().try_fold(0, |code, &d| {
+            char::from(d)
+                .to_digit(16)
+                .map(|d| code * 16 + d)
+                .ok_or_else(|| err_at(u, "bad \\u escape"))
+        })
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -529,8 +556,55 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "\"unterminated",
+            "\"\\u+041\"",
+        ] {
             assert!(Value::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        let v = Value::parse(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{1f600}"));
+        let v = Value::parse(r#""a\uD83D\uDE00b""#).unwrap();
+        assert_eq!(v.as_str(), Some("a\u{1f600}b"));
+    }
+
+    #[test]
+    fn lone_surrogates_decode_to_the_replacement_character() {
+        for (text, want) in [
+            (r#""\ud83d""#, "\u{fffd}"),
+            (r#""\ude00""#, "\u{fffd}"),
+            (r#""\ud83dx""#, "\u{fffd}x"),
+            (r#""\ud83d\n""#, "\u{fffd}\n"),
+            // A high surrogate followed by a non-low `\u` escape: the
+            // second escape decodes on its own.
+            (r#""\ud83d\u0041""#, "\u{fffd}A"),
+            (r#""\ud83d\ud83d\ude00""#, "\u{fffd}\u{1f600}"),
+        ] {
+            assert_eq!(Value::parse(text).unwrap().as_str(), Some(want), "{text}");
+        }
+    }
+
+    #[test]
+    fn a_pair_cut_short_is_a_typed_error() {
+        for (text, offset) in [
+            (r#""\ud83d\ude0"#, 8),
+            (r#""\ud83d\u"#, 8),
+            (r#""\ud83d\"#, 8),
+            (r#""\ud83d"#, 7),
+            (r#""\ud83d\udx00""#, 8),
+        ] {
+            let err = Value::parse(text).unwrap_err();
+            assert_eq!(err.offset, offset, "{text}: {err}");
         }
     }
 

@@ -10,6 +10,7 @@
 
 use std::process::Command;
 
+use emx_obs::doc::{self, Doc, DocError};
 use emx_obs::json::Value;
 use emx_obs::Histogram;
 use emx_sim::PhaseProfile;
@@ -84,23 +85,13 @@ impl Environment {
         doc
     }
 
-    fn from_json(doc: &Value) -> Result<Environment, String> {
-        let text = |key: &str| -> Result<String, String> {
-            Ok(doc
-                .get(key)
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("environment: missing string field `{key}`"))?
-                .to_owned())
-        };
+    fn from_json(doc: &Doc) -> Result<Environment, DocError> {
         Ok(Environment {
-            rustc: text("rustc")?,
-            target: text("target")?,
-            cpu_count: doc
-                .get("cpu_count")
-                .and_then(Value::as_u64)
-                .ok_or("environment: missing integer field `cpu_count`")?,
-            opt_level: text("opt_level")?,
-            git_rev: text("git_rev")?,
+            rustc: doc.field("rustc")?.str()?.to_owned(),
+            target: doc.field("target")?.str()?.to_owned(),
+            cpu_count: doc.field("cpu_count")?.u64()?,
+            opt_level: doc.field("opt_level")?.str()?.to_owned(),
+            git_rev: doc.field("git_rev")?.str()?.to_owned(),
         })
     }
 }
@@ -174,35 +165,20 @@ impl BenchEntry {
         doc
     }
 
-    fn from_json(doc: &Value) -> Result<BenchEntry, String> {
-        let uint = |key: &str| -> Result<u64, String> {
-            doc.get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("benchmark: missing integer field `{key}`"))
-        };
+    fn from_json(doc: &Doc) -> Result<BenchEntry, DocError> {
         Ok(BenchEntry {
-            name: doc
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or("benchmark: missing string field `name`")?
-                .to_owned(),
-            samples: uint("samples")?,
-            iters_per_sample: uint("iters_per_sample")?,
-            throughput_elements: match doc.get("throughput_elements") {
-                None => None,
-                Some(v) => Some(
-                    v.as_u64()
-                        .ok_or("benchmark: non-integer `throughput_elements`")?,
-                ),
-            },
-            min_ns: uint("min_ns")?,
-            p50_ns: uint("p50_ns")?,
-            p90_ns: uint("p90_ns")?,
-            mean_ns: doc
-                .get("mean_ns")
-                .and_then(Value::as_f64)
-                .ok_or("benchmark: missing number field `mean_ns`")?,
-            hist: Histogram::from_json(doc.get("hist").ok_or("benchmark: missing `hist` object")?)?,
+            name: doc.field("name")?.str()?.to_owned(),
+            samples: doc.field("samples")?.u64()?,
+            iters_per_sample: doc.field("iters_per_sample")?.u64()?,
+            throughput_elements: doc
+                .opt("throughput_elements")?
+                .map(|n| n.u64())
+                .transpose()?,
+            min_ns: doc.field("min_ns")?.u64()?,
+            p50_ns: doc.field("p50_ns")?.u64()?,
+            p90_ns: doc.field("p90_ns")?.u64()?,
+            mean_ns: doc.field("mean_ns")?.f64()?,
+            hist: Histogram::from_json(doc.field("hist")?)?,
         })
     }
 }
@@ -282,46 +258,22 @@ impl BenchReport {
     /// A description of the first syntax error, schema mismatch, or
     /// missing field.
     pub fn parse(text: &str) -> Result<BenchReport, String> {
-        let doc = Value::parse(text).map_err(|e| format!("bench report: {e}"))?;
-        let schema = doc
-            .get("schema")
-            .and_then(Value::as_str)
-            .ok_or("bench report: missing `schema` field")?;
-        if schema != SCHEMA {
-            return Err(format!("bench report: schema `{schema}` is not `{SCHEMA}`"));
-        }
-        let environment = Environment::from_json(
-            doc.get("environment")
-                .ok_or("bench report: missing `environment` object")?,
-        )?;
+        let value = doc::open(text, SCHEMA)?;
+        let doc = Doc::root(&value);
         let benchmarks = doc
-            .get("benchmarks")
-            .and_then(Value::as_array)
-            .ok_or("bench report: missing `benchmarks` array")?
-            .iter()
-            .map(BenchEntry::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let phases = doc
-            .get("phases")
-            .and_then(Value::as_array)
-            .ok_or("bench report: missing `phases` array")?
-            .iter()
-            .map(|p| {
-                Ok(PhaseEntry {
-                    workload: p
-                        .get("workload")
-                        .and_then(Value::as_str)
-                        .ok_or("phase entry: missing string field `workload`")?
-                        .to_owned(),
-                    profile: PhaseProfile::from_json(
-                        p.get("profile")
-                            .ok_or("phase entry: missing `profile` object")?,
-                    )?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+            .field("benchmarks")?
+            .items()?
+            .map(|b| BenchEntry::from_json(&b))
+            .collect::<Result<_, _>>()?;
+        let mut phases = Vec::new();
+        for p in doc.field("phases")?.items()? {
+            phases.push(PhaseEntry {
+                workload: p.field("workload")?.str()?.to_owned(),
+                profile: PhaseProfile::from_json(p.field("profile")?)?,
+            });
+        }
         Ok(BenchReport {
-            environment,
+            environment: Environment::from_json(&doc.field("environment")?)?,
             benchmarks,
             phases,
         })

@@ -8,6 +8,7 @@
 //! VIF) serialize as JSON `null`, since JSON has no `Infinity` literal;
 //! [`parse`] maps `null` back to `f64::INFINITY`.
 
+use emx_obs::doc::{self, Doc, DocError};
 use emx_obs::json::Value;
 
 use crate::analyze::{
@@ -91,36 +92,6 @@ pub fn to_json(analysis: &CoverageAnalysis) -> Value {
     doc
 }
 
-fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field `{key}`"))
-}
-
-fn field_f64_or_inf(v: &Value, key: &str) -> Result<f64, String> {
-    match v.get(key) {
-        Some(Value::Null) => Ok(f64::INFINITY),
-        Some(other) => other
-            .as_f64()
-            .ok_or_else(|| format!("non-numeric field `{key}`")),
-        None => Err(format!("missing field `{key}`")),
-    }
-}
-
-fn field_usize(v: &Value, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .map(|n| n as usize)
-        .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-}
-
-fn field_str(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing or non-string field `{key}`"))
-}
-
 /// Parses a coverage report back into a [`CoverageAnalysis`].
 ///
 /// Rejects unknown schema versions outright, for the same reason the
@@ -128,76 +99,69 @@ fn field_str(v: &Value, key: &str) -> Result<String, String> {
 /// vacuous matches. The recorded `pass` flag is not trusted — callers
 /// should re-derive it from [`CoverageAnalysis::passes`].
 pub fn parse(text: &str) -> Result<CoverageAnalysis, String> {
-    let doc = Value::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let schema = field_str(&doc, "schema")?;
-    if schema != SCHEMA {
-        return Err(format!(
-            "unsupported schema `{schema}` (expected `{SCHEMA}`)"
-        ));
-    }
-    let th = doc.get("thresholds").ok_or("missing `thresholds`")?;
-    let thresholds = Thresholds {
-        min_nonzero_cases: field_usize(th, "min_nonzero_cases")?,
-        max_pair_correlation: field_f64(th, "max_pair_correlation")?,
-        max_condition_number: field_f64(th, "max_condition_number")?,
-        max_vif: field_f64(th, "max_vif")?,
-    };
+    let value = doc::open(text, SCHEMA)?;
+    let doc = Doc::root(&value);
+    let th = doc.field("thresholds")?;
     let mut variables = Vec::new();
-    for v in doc
-        .get("variables")
-        .and_then(Value::as_array)
-        .ok_or("missing `variables`")?
-    {
+    for v in doc.field("variables")?.items()? {
         variables.push(VariableExcitation {
-            name: field_str(v, "name")?,
-            nonzero_cases: field_usize(v, "nonzero_cases")?,
-            column_norm: field_f64(v, "column_norm")?,
-            vif: field_f64_or_inf(v, "vif")?,
+            name: v.field("name")?.str()?.to_owned(),
+            nonzero_cases: v.field("nonzero_cases")?.uint()?,
+            column_norm: v.field("column_norm")?.f64()?,
+            vif: finite_or_null(&v.field("vif")?)?,
         });
     }
     let mut pairs = Vec::new();
-    for p in doc
-        .get("pairs")
-        .and_then(Value::as_array)
-        .ok_or("missing `pairs`")?
-    {
+    for p in doc.field("pairs")?.items()? {
         pairs.push(PairCorrelation {
-            a: field_str(p, "a")?,
-            b: field_str(p, "b")?,
-            abs_r: field_f64(p, "abs_r")?,
+            a: p.field("a")?.str()?.to_owned(),
+            b: p.field("b")?.str()?.to_owned(),
+            abs_r: p.field("abs_r")?.f64()?,
         });
     }
     let mut gaps = Vec::new();
-    for g in doc
-        .get("gaps")
-        .and_then(Value::as_array)
-        .ok_or("missing `gaps`")?
-    {
-        let variable = field_str(g, "variable")?;
-        let reason = field_str(g, "reason")?;
-        let kind = match reason.as_str() {
+    for g in doc.field("gaps")?.items()? {
+        let reason = g.field("reason")?;
+        let kind = match reason.str()? {
             "under-excited" => GapKind::UnderExcited {
-                nonzero_cases: field_usize(g, "nonzero_cases")?,
+                nonzero_cases: g.field("nonzero_cases")?.uint()?,
             },
             "collinear" => GapKind::Collinear {
-                partner: field_str(g, "partner")?,
-                abs_r: field_f64(g, "abs_r")?,
+                partner: g.field("partner")?.str()?.to_owned(),
+                abs_r: g.field("abs_r")?.f64()?,
             },
             "inflated" => GapKind::Inflated {
-                vif: field_f64(g, "vif")?,
+                vif: finite_or_null(&g.field("vif")?)?,
             },
-            other => return Err(format!("unknown gap reason `{other}`")),
+            other => {
+                return Err(reason
+                    .error(format_args!("unknown gap reason `{other}`"))
+                    .into())
+            }
         };
-        gaps.push(Gap { variable, kind });
+        gaps.push(Gap {
+            variable: g.field("variable")?.str()?.to_owned(),
+            kind,
+        });
     }
     Ok(CoverageAnalysis {
-        cases: field_usize(&doc, "cases")?,
+        cases: doc.field("cases")?.uint()?,
         variables,
         pairs,
-        condition_number: field_f64_or_inf(&doc, "condition_number")?,
+        condition_number: finite_or_null(&doc.field("condition_number")?)?,
         gaps,
-        thresholds,
+        thresholds: Thresholds {
+            min_nonzero_cases: th.field("min_nonzero_cases")?.uint()?,
+            max_pair_correlation: th.field("max_pair_correlation")?.f64()?,
+            max_condition_number: th.field("max_condition_number")?.f64()?,
+            max_vif: th.field("max_vif")?.f64()?,
+        },
     })
+}
+
+/// The inverse of [`set_finite_or_null`]: `null` reads as infinity.
+fn finite_or_null(doc: &Doc) -> Result<f64, DocError> {
+    doc.nullable().map_or(Ok(f64::INFINITY), |n| n.f64())
 }
 
 #[cfg(test)]
@@ -259,10 +223,14 @@ mod tests {
     fn infinite_condition_number_round_trips_as_null() {
         let mut a = sample();
         a.condition_number = f64::INFINITY;
+        // An exactly collinear variable no other gap names is reported
+        // as inflated with an infinite VIF.
+        a.gaps[2].kind = GapKind::Inflated { vif: f64::INFINITY };
         let text = to_json(&a).to_string();
         assert!(text.contains("\"condition_number\": null"), "{text}");
         let back = parse(&text).expect("parses");
         assert!(back.condition_number.is_infinite());
+        assert_eq!(back.gaps[2].kind, GapKind::Inflated { vif: f64::INFINITY });
     }
 
     #[test]

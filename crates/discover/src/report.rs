@@ -13,6 +13,8 @@
 //! the writer emits keys in a fixed order, so byte-identical runs
 //! produce byte-identical reports.
 
+use emx_isa::Reg;
+use emx_obs::doc::{self, Doc, DocError};
 use emx_obs::json::Value;
 
 use crate::mine::{Funnel, MineConfig};
@@ -146,100 +148,84 @@ impl Report {
         root
     }
 
-    /// Parses a serialized report, validating the schema tag.
+    /// Parses a serialized report, validating the schema tag, every
+    /// register index against the base register file and every integer
+    /// against the range of its field.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the missing or malformed field.
+    /// Returns a message naming the path of the missing or malformed
+    /// field.
     pub fn parse(text: &str) -> Result<Report, String> {
-        let v = Value::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let str_field = |v: &Value, k: &str| -> Result<String, String> {
-            v.get(k)
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("missing string field `{k}`"))
-        };
-        let u64_field = |v: &Value, k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("missing numeric field `{k}`"))
-        };
-        let schema = str_field(&v, "schema")?;
-        if schema != SCHEMA {
-            return Err(format!("schema is `{schema}`, expected `{SCHEMA}`"));
-        }
-        let config_v = v.get("config").ok_or("missing `config`")?;
-        let config = MineConfig {
-            max_nodes: u64_field(config_v, "max_nodes")? as usize,
-            max_gpr_inputs: u64_field(config_v, "max_gpr_inputs")? as usize,
-            block_cap: u64_field(config_v, "block_cap")? as usize,
-        };
-        let funnel_v = v.get("funnel").ok_or("missing `funnel`")?;
-        let funnel = Funnel {
-            blocks: u64_field(funnel_v, "blocks")?,
-            enumerated: u64_field(funnel_v, "enumerated")?,
-            rejected_convex: u64_field(funnel_v, "rejected_convex")?,
-            rejected_io: u64_field(funnel_v, "rejected_io")?,
-            rejected_order: u64_field(funnel_v, "rejected_order")?,
-            rejected_dead: u64_field(funnel_v, "rejected_dead")?,
-            rejected_synth: u64_field(funnel_v, "rejected_synth")?,
-            rejected_check: u64_field(funnel_v, "rejected_check")?,
-            capped_blocks: u64_field(funnel_v, "capped_blocks")?,
-        };
+        let value = doc::open(text, SCHEMA)?;
+        let doc = Doc::root(&value);
+        let config = doc.field("config")?;
+        let funnel = doc.field("funnel")?;
         let mut candidates = Vec::new();
-        for jc in v
-            .get("candidates")
-            .and_then(Value::as_array)
-            .ok_or("missing `candidates` array")?
-        {
+        for c in doc.field("candidates")?.items()? {
             let mut sites = Vec::new();
-            for js in jc
-                .get("sites")
-                .and_then(Value::as_array)
-                .ok_or("candidate missing `sites`")?
-            {
-                let members = js
-                    .get("members")
-                    .and_then(Value::as_array)
-                    .ok_or("site missing `members`")?
-                    .iter()
-                    .map(|m| m.as_u64().map(|x| x as usize))
-                    .collect::<Option<Vec<usize>>>()
-                    .ok_or("non-numeric site member")?;
+            for s in c.field("sites")?.items()? {
+                let members_doc = s.field("members")?;
+                let members = members_doc
+                    .items()?
+                    .map(|m| m.uint())
+                    .collect::<Result<Vec<usize>, _>>()?;
                 if members.is_empty() {
-                    return Err("site with no members".to_owned());
+                    return Err(members_doc.error("expected at least one member").into());
                 }
                 sites.push(Site {
                     members,
-                    rs: u64_field(js, "rs")? as u8,
-                    rt: u64_field(js, "rt")? as u8,
-                    rd: u64_field(js, "rd")? as u8,
-                    weight: u64_field(js, "weight")?,
+                    rs: register(&s.field("rs")?)?,
+                    rt: register(&s.field("rt")?)?,
+                    rd: register(&s.field("rd")?)?,
+                    weight: s.field("weight")?.u64()?,
                 });
             }
             candidates.push(Candidate {
-                name: str_field(jc, "name")?,
-                tie: str_field(jc, "tie")?,
-                latency: u64_field(jc, "latency")? as u8,
-                area: jc
-                    .get("area")
-                    .and_then(Value::as_f64)
-                    .ok_or("missing numeric field `area`")?,
-                op_nodes: u64_field(jc, "op_nodes")? as usize,
-                base_cost: u64_field(jc, "base_cost")?,
-                weight: u64_field(jc, "weight")?,
-                saved_cycles_est: u64_field(jc, "saved_cycles_est")?,
+                name: c.field("name")?.str()?.to_owned(),
+                tie: c.field("tie")?.str()?.to_owned(),
+                latency: c.field("latency")?.uint()?,
+                area: c.field("area")?.f64()?,
+                op_nodes: c.field("op_nodes")?.uint()?,
+                base_cost: c.field("base_cost")?.u64()?,
+                weight: c.field("weight")?.u64()?,
+                saved_cycles_est: c.field("saved_cycles_est")?.u64()?,
                 sites,
             });
         }
         Ok(Report {
-            workload: str_field(&v, "workload")?,
-            config,
-            max_cycles: u64_field(v.get("config").ok_or("missing `config`")?, "max_cycles")?,
-            funnel,
-            legal: u64_field(funnel_v, "legal")?,
+            workload: doc.field("workload")?.str()?.to_owned(),
+            config: MineConfig {
+                max_nodes: config.field("max_nodes")?.uint()?,
+                max_gpr_inputs: config.field("max_gpr_inputs")?.uint()?,
+                block_cap: config.field("block_cap")?.uint()?,
+            },
+            max_cycles: config.field("max_cycles")?.u64()?,
+            funnel: Funnel {
+                blocks: funnel.field("blocks")?.u64()?,
+                enumerated: funnel.field("enumerated")?.u64()?,
+                rejected_convex: funnel.field("rejected_convex")?.u64()?,
+                rejected_io: funnel.field("rejected_io")?.u64()?,
+                rejected_order: funnel.field("rejected_order")?.u64()?,
+                rejected_dead: funnel.field("rejected_dead")?.u64()?,
+                rejected_synth: funnel.field("rejected_synth")?.u64()?,
+                rejected_check: funnel.field("rejected_check")?.u64()?,
+                capped_blocks: funnel.field("capped_blocks")?.u64()?,
+            },
+            legal: funnel.field("legal")?.u64()?,
             candidates,
         })
+    }
+}
+
+/// A site's register operand: an index into the base register file.
+fn register(doc: &Doc) -> Result<u8, DocError> {
+    match doc.uint().ok().and_then(Reg::try_new) {
+        Some(reg) => Ok(reg.index() as u8),
+        None => Err(doc.error(format_args!(
+            "expected register index < {}",
+            Reg::all().count()
+        ))),
     }
 }
 

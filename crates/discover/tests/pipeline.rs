@@ -94,6 +94,48 @@ fn report_json_round_trips() {
     assert_eq!(back.to_json().to_string(), text);
 }
 
+/// `text` with the value of the first `"key": …` replaced by `value`.
+fn with_first(text: &str, key: &str, value: &str) -> String {
+    let start = text.find(&format!("\"{key}\": ")).expect("key present") + key.len() + 4;
+    let end = start + text[start..].find([',', '\n']).expect("value ends");
+    format!("{}{value}{}", &text[..start], &text[end..])
+}
+
+#[test]
+fn parse_rejects_out_of_range_registers_and_fields_by_path() {
+    let text = discover_rs1(1).to_json().to_string();
+    for (key, value, want) in [
+        (
+            "rs",
+            "16",
+            "$.candidates[0].sites[0].rs: expected register index < 16",
+        ),
+        (
+            "rs",
+            "300",
+            "$.candidates[0].sites[0].rs: expected register index < 16",
+        ),
+        (
+            "rt",
+            "-1",
+            "$.candidates[0].sites[0].rt: expected register index < 16",
+        ),
+        (
+            "rd",
+            "\"a3\"",
+            "$.candidates[0].sites[0].rd: expected register index < 16",
+        ),
+        (
+            "latency",
+            "300",
+            "$.candidates[0].latency: expected an unsigned integer that fits u8",
+        ),
+    ] {
+        let err = Report::parse(&with_first(&text, key, value)).unwrap_err();
+        assert_eq!(err, want, "{key} = {value}");
+    }
+}
+
 #[test]
 fn bridge_applies_top_candidates_and_preserves_function() {
     let report = discover_rs1(1);

@@ -20,6 +20,7 @@ use std::collections::BTreeMap;
 
 use emx_core::EnergyMacroModel;
 use emx_isa::Program;
+use emx_obs::doc::{self, Doc, DocError};
 use emx_obs::json::Value;
 use emx_sim::{ExecStats, ProcConfig};
 use emx_tie::ExtensionSet;
@@ -211,30 +212,33 @@ impl EstimationCache {
     /// (entries keyed by another scheme must not be trusted), or a missing
     /// `entries` object.
     pub fn salvage_json_text(text: &str) -> Result<(Self, CacheSalvage), CacheError> {
-        let doc = Value::parse(text).map_err(|e| CacheError::Corrupt(e.to_string()))?;
-        match doc.get("schema").and_then(Value::as_str) {
-            Some(SCHEMA) => {}
-            other => return Err(CacheError::SchemaMismatch(format!("{other:?}"))),
-        }
-        let entries = doc
-            .get("entries")
-            .and_then(Value::as_object)
-            .ok_or_else(|| CacheError::Corrupt("missing entries object".to_owned()))?;
+        let value = doc::open(text, SCHEMA)?;
+        Ok(Self::salvage(Doc::root(&value))?)
+    }
+
+    /// [`EstimationCache::salvage_json_text`] over a document that is
+    /// already parsed, such as the `cache_delta` a shard report embeds.
+    ///
+    /// # Errors
+    ///
+    /// When `doc` carries a different `schema` or no `entries` object.
+    pub fn salvage(doc: Doc) -> Result<(Self, CacheSalvage), DocError> {
+        doc.schema(SCHEMA)?;
         let mut cache = EstimationCache::new();
         let mut salvage = CacheSalvage::default();
-        for (key, v) in entries {
-            let Ok(key_value) = u64::from_str_radix(key, 16) else {
-                salvage.skipped.push(format!("bad key `{key}`"));
+        for (key, entry) in doc.field("entries")?.entries()? {
+            let Ok(key) = u64::from_str_radix(key, 16) else {
+                salvage
+                    .skipped
+                    .push(entry.error("expected a hexadecimal key").to_string());
                 continue;
             };
-            match ExecStats::from_json(v) {
-                Some(stats) => {
-                    cache.insert(key_value, CacheEntry { stats });
+            match ExecStats::from_json(entry) {
+                Ok(stats) => {
+                    cache.insert(key, CacheEntry { stats });
                     salvage.recovered += 1;
                 }
-                None => salvage.skipped.push(format!(
-                    "entry {key_value:016x} lacks a well-formed stats document"
-                )),
+                Err(e) => salvage.skipped.push(e.to_string()),
             }
         }
         Ok((cache, salvage))

@@ -12,6 +12,7 @@ use std::error::Error;
 use std::fmt;
 
 use emx_core::{error::sim_error_code, EmxError, ErrorKind};
+use emx_obs::doc::DocError;
 use emx_sim::SimError;
 
 /// Why one persisted cache file could not be used as-is.
@@ -30,6 +31,18 @@ pub enum CacheError {
     BadEntry(String),
     /// The recovered file could not be quarantined or rewritten.
     WriteFailed(String),
+}
+
+/// A cache document that fails to read: a foreign `schema` tag is a
+/// [`CacheError::SchemaMismatch`], anything else [`CacheError::Corrupt`].
+impl From<DocError> for CacheError {
+    fn from(e: DocError) -> Self {
+        match e {
+            DocError::Syntax(e) => CacheError::Corrupt(e.to_string()),
+            DocError::Schema { found, .. } => CacheError::SchemaMismatch(format!("{found:?}")),
+            e @ DocError::Field { .. } => CacheError::Corrupt(e.to_string()),
+        }
+    }
 }
 
 impl CacheError {

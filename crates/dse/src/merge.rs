@@ -23,6 +23,7 @@
 //!   makes the *next* refit incremental: re-exploring over the merged
 //!   cache re-prices every candidate without a single new ISS pass.
 
+use emx_obs::doc::{self, Doc, DocError};
 use emx_obs::json::Value;
 
 use crate::cache::EstimationCache;
@@ -166,8 +167,7 @@ impl ShardReport {
         doc.set("failed_candidates", failed);
 
         // The delta rides along as a complete `emx.dse-cache/2`
-        // document, so the merge can reuse the cache parser's strict
-        // validation unchanged.
+        // document, so the merge reads it with the cache's own reader.
         doc.set("cache_delta", self.cache_delta.to_json());
         doc
     }
@@ -182,153 +182,74 @@ impl ShardReport {
     /// the document — unparseable JSON (a truncated write), missing or
     /// mistyped fields, an invalid shard index, a damaged cache delta.
     pub fn parse(text: &str, source_name: &str) -> Result<ShardReport, DseError> {
-        let corrupt = |detail: String| DseError::ShardReportCorrupt {
+        let corrupt = |e: DocError| DseError::ShardReportCorrupt {
             source_name: source_name.to_owned(),
-            detail,
+            detail: e.to_string(),
         };
-        let doc = Value::parse(text).map_err(|e| corrupt(format!("not valid JSON: {e}")))?;
-        match doc.get("schema").and_then(Value::as_str) {
-            Some(SHARD_SCHEMA) => {}
-            other => {
-                return Err(DseError::ShardSchemaMismatch {
-                    source_name: source_name.to_owned(),
-                    found: other.unwrap_or("<missing>").to_owned(),
-                })
-            }
-        }
-        let count = |key: &str| {
-            doc.get(key)
-                .and_then(Value::as_u64)
-                .map(|v| v as usize)
-                .ok_or_else(|| corrupt(format!("missing or non-integer `{key}`")))
-        };
-        let shard_field = |key: &str| {
-            doc.get("shard")
-                .and_then(|s| s.get(key))
-                .and_then(Value::as_u64)
-                .and_then(|v| u32::try_from(v).ok())
-                .ok_or_else(|| corrupt(format!("missing or non-integer `shard.{key}`")))
-        };
-        let shard = ShardSpec::new(shard_field("index")?, shard_field("count")?)
-            .map_err(|e| corrupt(e.to_string()))?;
-        let fingerprint_text = doc
-            .get("partition_fingerprint")
-            .and_then(Value::as_str)
-            .ok_or_else(|| corrupt("missing `partition_fingerprint`".to_owned()))?;
-        let partition_fingerprint = u64::from_str_radix(fingerprint_text, 16)
-            .map_err(|_| corrupt(format!("bad partition fingerprint `{fingerprint_text}`")))?;
-        let workload = doc
-            .get("workload")
-            .and_then(Value::as_str)
-            .ok_or_else(|| corrupt("missing `workload`".to_owned()))?
-            .to_owned();
-        let budget = match doc.get("budget") {
-            Some(Value::Null) => None,
-            Some(v) => Some(
-                v.as_f64()
-                    .ok_or_else(|| corrupt("non-numeric `budget`".to_owned()))?,
-            ),
-            None => return Err(corrupt("missing `budget`".to_owned())),
-        };
+        let value = doc::open(text, SHARD_SCHEMA).map_err(|e| match e {
+            DocError::Schema { found, .. } => DseError::ShardSchemaMismatch {
+                source_name: source_name.to_owned(),
+                found: found.unwrap_or_else(|| "<missing>".to_owned()),
+            },
+            e => corrupt(e),
+        })?;
+        Self::read(Doc::root(&value), source_name).map_err(corrupt)
+    }
+
+    fn read(doc: Doc, source_name: &str) -> Result<ShardReport, DocError> {
+        let shard = doc.field("shard")?;
+        let fingerprint = doc.field("partition_fingerprint")?;
         let mut options = Vec::new();
-        for o in doc
-            .get("options")
-            .and_then(Value::as_array)
-            .ok_or_else(|| corrupt("missing `options` array".to_owned()))?
-        {
-            let name = o
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| corrupt("option lacks a `name`".to_owned()))?;
-            let area = o
-                .get("area")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| corrupt(format!("option `{name}` lacks an `area`")))?;
-            options.push((name.to_owned(), area));
+        for o in doc.field("options")?.items()? {
+            options.push((o.field("name")?.str()?.to_owned(), o.field("area")?.f64()?));
         }
         let mut candidates = Vec::new();
-        for c in doc
-            .get("candidates")
-            .and_then(Value::as_array)
-            .ok_or_else(|| corrupt("missing `candidates` array".to_owned()))?
-        {
-            let name = c
-                .get("name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| corrupt("candidate lacks a `name`".to_owned()))?
-                .to_owned();
-            let field = |key: &str| {
-                c.get(key)
-                    .ok_or_else(|| corrupt(format!("candidate `{name}` lacks `{key}`")))
-            };
-            let mut names = Vec::new();
-            for o in field("options")?
-                .as_array()
-                .ok_or_else(|| corrupt(format!("candidate `{name}` has non-array options")))?
-            {
-                names.push(
-                    o.as_str()
-                        .ok_or_else(|| corrupt(format!("candidate `{name}` has a bad option")))?
-                        .to_owned(),
-                );
-            }
+        for c in doc.field("candidates")?.items()? {
             candidates.push(ReportCandidate {
-                mask: field("mask")?
-                    .as_u64()
-                    .ok_or_else(|| corrupt(format!("candidate `{name}` has a bad mask")))?
-                    as usize,
-                options: names,
-                workload: field("workload")?
-                    .as_str()
-                    .ok_or_else(|| corrupt(format!("candidate `{name}` has a bad workload")))?
-                    .to_owned(),
-                area: field("area")?
-                    .as_f64()
-                    .ok_or_else(|| corrupt(format!("candidate `{name}` has a bad area")))?,
-                energy_pj: field("energy_pj")?
-                    .as_f64()
-                    .ok_or_else(|| corrupt(format!("candidate `{name}` has a bad energy")))?,
-                cycles: field("cycles")?
-                    .as_u64()
-                    .ok_or_else(|| corrupt(format!("candidate `{name}` has bad cycles")))?,
-                name,
+                name: c.field("name")?.str()?.to_owned(),
+                mask: c.field("mask")?.uint()?,
+                options: c
+                    .field("options")?
+                    .items()?
+                    .map(|o| o.str().map(str::to_owned))
+                    .collect::<Result<_, _>>()?,
+                workload: c.field("workload")?.str()?.to_owned(),
+                area: c.field("area")?.f64()?,
+                energy_pj: c.field("energy_pj")?.f64()?,
+                cycles: c.field("cycles")?.u64()?,
             });
         }
         let mut failed = Vec::new();
-        for f in doc
-            .get("failed_candidates")
-            .and_then(Value::as_array)
-            .ok_or_else(|| corrupt("missing `failed_candidates` array".to_owned()))?
-        {
-            let text = |key: &str| {
-                f.get(key)
-                    .and_then(Value::as_str)
-                    .map(str::to_owned)
-                    .ok_or_else(|| corrupt(format!("failed candidate lacks `{key}`")))
-            };
+        for f in doc.field("failed_candidates")?.items()? {
             failed.push(ReportFailure {
-                name: text("name")?,
-                code: text("code")?,
-                message: text("error")?,
+                name: f.field("name")?.str()?.to_owned(),
+                code: f.field("code")?.str()?.to_owned(),
+                message: f.field("error")?.str()?.to_owned(),
             });
         }
-        let delta_doc = doc
-            .get("cache_delta")
-            .ok_or_else(|| corrupt("missing `cache_delta`".to_owned()))?;
-        let cache_delta = EstimationCache::from_json_text(&delta_doc.to_string())
-            .map_err(|e| corrupt(format!("bad cache delta: {e}")))?;
+        let delta = doc.field("cache_delta")?;
+        let (cache_delta, salvage) = EstimationCache::salvage(delta)?;
+        if let Some(bad) = salvage.skipped.first() {
+            return Err(delta.error(format_args!("bad entry: {bad}")));
+        }
         Ok(ShardReport {
-            shard,
-            partition_fingerprint,
-            workload,
-            budget,
+            shard: ShardSpec::new(shard.field("index")?.uint()?, shard.field("count")?.uint()?)
+                .map_err(|e| shard.error(e))?,
+            partition_fingerprint: u64::from_str_radix(fingerprint.str()?, 16)
+                .map_err(|_| fingerprint.error("expected a hexadecimal fingerprint"))?,
+            workload: doc.field("workload")?.str()?.to_owned(),
+            budget: doc
+                .field("budget")?
+                .nullable()
+                .map(|b| b.f64())
+                .transpose()?,
             options,
-            enumerated: count("enumerated")?,
-            over_budget: count("over_budget")?,
-            pruned: count("pruned")?,
-            survivors_total: count("survivors")?,
-            evaluated: count("evaluated")?,
-            reused: count("reused")?,
+            enumerated: doc.field("enumerated")?.uint()?,
+            over_budget: doc.field("over_budget")?.uint()?,
+            pruned: doc.field("pruned")?.uint()?,
+            survivors_total: doc.field("survivors")?.uint()?,
+            evaluated: doc.field("evaluated")?.uint()?,
+            reused: doc.field("reused")?.uint()?,
             candidates,
             failed,
             cache_delta,

@@ -1,5 +1,6 @@
 //! Log-linear histograms for latency- and size-shaped distributions.
 
+use crate::doc::{Doc, DocError};
 use crate::json::Value;
 
 /// Linear sub-buckets per power-of-two octave. 16 sub-buckets bound the
@@ -215,71 +216,54 @@ impl Histogram {
         doc
     }
 
-    /// Reconstructs a histogram serialized by [`Histogram::to_json`].
+    /// Reconstructs a histogram serialized by [`Histogram::to_json`],
+    /// given as a [`Value`] or as a [`Doc`] inside a larger document.
     ///
     /// # Errors
     ///
-    /// A human-readable message when a field is missing or malformed,
+    /// A [`DocError`] naming the field when one is missing or malformed,
     /// a bucket index is out of range, or the bucket counts do not sum
     /// back to `count` — a corrupt document is rejected, never silently
     /// truncated.
-    pub fn from_json(doc: &Value) -> Result<Histogram, String> {
-        let count = doc
-            .get("count")
-            .and_then(Value::as_u64)
-            .ok_or("histogram: missing or non-integer `count`")?;
-        let parse_u64 = |key: &str| -> Result<u64, String> {
-            doc.get(key)
-                .and_then(Value::as_str)
-                .ok_or(format!("histogram: missing string field `{key}`"))?
-                .parse::<u64>()
-                .map_err(|_| format!("histogram: malformed `{key}`"))
-        };
+    pub fn from_json<'a, 'p>(doc: impl Into<Doc<'a, 'p>>) -> Result<Histogram, DocError> {
+        fn decimal<T: std::str::FromStr>(doc: &Doc, key: &str) -> Result<T, DocError> {
+            let field = doc.field(key)?;
+            field
+                .str()?
+                .parse()
+                .map_err(|_| field.error("expected a decimal string"))
+        }
+        let doc = doc.into();
+        let count = doc.field("count")?.u64()?;
         if count == 0 {
             return Ok(Histogram::new());
         }
-        let min = parse_u64("min")?;
-        let max = parse_u64("max")?;
-        let sum = doc
-            .get("sum")
-            .and_then(Value::as_str)
-            .ok_or("histogram: missing string field `sum`")?
-            .parse::<u128>()
-            .map_err(|_| "histogram: malformed `sum`".to_owned())?;
-        let buckets = doc
-            .get("buckets")
-            .and_then(Value::as_array)
-            .ok_or("histogram: missing `buckets` array")?;
+        let min = decimal(&doc, "min")?;
+        let max = decimal(&doc, "max")?;
+        let sum = decimal(&doc, "sum")?;
         let mut counts = vec![0u64; BUCKETS];
         let mut total = 0u64;
-        for pair in buckets {
-            let pair = pair
-                .as_array()
-                .filter(|p| p.len() == 2)
-                .ok_or("histogram: bucket is not an [index, count] pair")?;
-            let index = pair[0]
-                .as_u64()
-                .ok_or("histogram: non-integer bucket index")?;
-            let n = pair[1]
-                .as_u64()
-                .ok_or("histogram: non-integer bucket count")?;
+        for pair in doc.field("buckets")?.items()? {
+            let mut fields = pair.items()?;
+            let (Some(index), Some(n), None) = (fields.next(), fields.next(), fields.next()) else {
+                return Err(pair.error("expected an [index, count] pair"));
+            };
             let slot = counts
-                .get_mut(usize::try_from(index).map_err(|_| "histogram: bucket index overflows")?)
-                .ok_or(format!("histogram: bucket index {index} out of range"))?;
-            *slot = slot
-                .checked_add(n)
-                .ok_or("histogram: bucket count overflows")?;
+                .get_mut(index.uint::<usize>()?)
+                .ok_or_else(|| index.error(format_args!("expected a bucket index < {BUCKETS}")))?;
+            let n = n.u64()?;
             total = total
                 .checked_add(n)
-                .ok_or("histogram: total count overflows")?;
+                .ok_or_else(|| pair.error("total count overflows"))?;
+            *slot += n;
         }
         if total != count {
-            return Err(format!(
-                "histogram: bucket counts sum to {total} but `count` is {count}"
-            ));
+            return Err(doc.error(format_args!(
+                "bucket counts sum to {total} but `count` is {count}"
+            )));
         }
         if min > max {
-            return Err("histogram: min exceeds max".to_owned());
+            return Err(doc.error("min exceeds max"));
         }
         Ok(Histogram {
             counts,

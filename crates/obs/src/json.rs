@@ -99,7 +99,8 @@ impl Value {
     /// The number as an unsigned integer, if it is one exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, one past the range.
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -143,9 +144,14 @@ impl Value {
     /// # Errors
     ///
     /// [`ParseError`] with a byte offset on malformed input, including
-    /// trailing garbage after the top-level value.
+    /// trailing garbage after the top-level value and arrays or objects
+    /// nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let mut p = Parser { text, pos: 0 };
+        let mut p = Parser {
+            text,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
@@ -311,11 +317,19 @@ fn err_at(offset: usize, message: &str) -> ParseError {
     }
 }
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so without a cap a few kilobytes of `[` would overflow the
+/// stack of the thread parsing them; every `emx.*` document is under ten
+/// levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     /// The whole document. It is a `&str`, so every run of bytes between
     /// two ASCII delimiters is valid UTF-8 and can be copied as a slice.
     text: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -361,11 +375,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses the array or object at `pos` one level deeper, refusing
+    /// the level past [`MAX_DEPTH`] at its opening byte.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Value, ParseError> {
@@ -609,6 +638,19 @@ mod tests {
     }
 
     #[test]
+    fn nesting_past_the_cap_is_a_typed_error() {
+        // Deep enough to overflow a 2 MiB stack without the cap.
+        for open in ["[", "{\"k\":"] {
+            let err = Value::parse(&open.repeat(100_000)).unwrap_err();
+            assert_eq!(err.offset, MAX_DEPTH * open.len(), "{open}: {err}");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert_eq!(Value::parse(&past_cap).unwrap_err().offset, MAX_DEPTH);
+    }
+
+    #[test]
     fn set_replaces_existing_keys() {
         let mut v = Value::object();
         v.set("k", 1u64);
@@ -628,5 +670,7 @@ mod tests {
         assert_eq!(Value::Num(1.5).as_u64(), None);
         assert_eq!(Value::Num(-1.0).as_u64(), None);
         assert_eq!(Value::Num(7.0).as_u64(), Some(7));
+        assert_eq!(Value::Num(18_446_744_073_709_551_616.0).as_u64(), None);
+        assert_eq!(Value::Num(1e300).as_u64(), None);
     }
 }

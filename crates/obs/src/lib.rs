@@ -20,6 +20,9 @@
 //!   and a recursive-descent parser, used for every machine-readable
 //!   report in the workspace (`emx-run --stats-json`,
 //!   `emx-characterize --report`, the Chrome trace itself).
+//! * [`doc`] — the one reader every `emx.*` document parser goes
+//!   through: the `schema` envelope check and typed field access whose
+//!   errors name the failing path (`$.runs[1].cycles: …`).
 //!
 //! # Example
 //!
@@ -41,6 +44,7 @@
 
 mod chrome;
 mod collector;
+pub mod doc;
 mod hist;
 pub mod json;
 

@@ -9,6 +9,7 @@
 //! code; the server turns them into error envelopes instead of dropping
 //! the connection.
 
+use emx_obs::doc::{self, Doc, DocError};
 use emx_obs::json::Value;
 
 /// Schema tag every request body must carry.
@@ -81,62 +82,29 @@ pub enum ServeRequest {
 pub fn parse_request(body: &[u8]) -> Result<ServeRequest, WireError> {
     let text = std::str::from_utf8(body)
         .map_err(|e| WireError::new(400, "serve.bad_utf8", format!("body is not UTF-8: {e}")))?;
-    let doc = Value::parse(text).map_err(|e| {
-        WireError::new(
-            400,
-            "serve.bad_json",
-            format!("body is not valid JSON: {e}"),
-        )
-    })?;
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WireError::new(400, "serve.missing_schema", "body has no `schema` field"))?;
-    if schema != REQUEST_SCHEMA {
-        return Err(WireError::new(
+    let value = doc::open(text, REQUEST_SCHEMA).map_err(|e| match e {
+        DocError::Schema { found: None, .. } => {
+            WireError::new(400, "serve.missing_schema", "body has no `schema` field")
+        }
+        DocError::Schema {
+            found: Some(schema),
+            ..
+        } => WireError::new(
             400,
             "serve.unknown_schema",
             format!("unsupported schema `{schema}` (this server speaks {REQUEST_SCHEMA})"),
-        ));
-    }
-    let kind = doc
-        .get("kind")
-        .and_then(Value::as_str)
-        .ok_or_else(|| WireError::new(400, "serve.missing_kind", "body has no `kind` field"))?;
-    let field = |name: &str| doc.get(name).and_then(Value::as_str).map(str::to_owned);
-    match kind {
-        "estimate" => {
-            let app = field("app");
-            let program = field("program");
-            if app.is_none() == program.is_none() {
-                return Err(WireError::new(
-                    400,
-                    "serve.bad_estimate",
-                    "an estimate request needs exactly one of `app` or `program`",
-                ));
-            }
-            Ok(ServeRequest::Estimate {
-                app,
-                program,
-                tie: field("tie"),
-            })
-        }
-        "dse" => {
-            let workload = field("workload").ok_or_else(|| {
-                WireError::new(
-                    400,
-                    "serve.bad_dse",
-                    "a dse request needs a `workload` name",
-                )
-            })?;
-            let budget = match doc.get("budget") {
-                None => None,
-                Some(v) => Some(v.as_f64().ok_or_else(|| {
-                    WireError::new(400, "serve.bad_dse", "`budget` must be a number")
-                })?),
-            };
-            Ok(ServeRequest::Dse { workload, budget })
-        }
+        ),
+        e => WireError::new(400, "serve.bad_json", e.to_string()),
+    })?;
+    let doc = Doc::root(&value);
+    let bad = |code| move |e: DocError| WireError::new(400, code, e.to_string());
+    match doc
+        .field("kind")
+        .and_then(|kind| kind.str())
+        .map_err(bad("serve.missing_kind"))?
+    {
+        "estimate" => estimate(&doc).map_err(bad("serve.bad_estimate")),
+        "dse" => dse(&doc).map_err(bad("serve.bad_dse")),
         "characterize-report" => Ok(ServeRequest::CharacterizeReport),
         other => Err(WireError::new(
             400,
@@ -144,6 +112,30 @@ pub fn parse_request(body: &[u8]) -> Result<ServeRequest, WireError> {
             format!("unknown request kind `{other}`"),
         )),
     }
+}
+
+fn dse(doc: &Doc) -> Result<ServeRequest, DocError> {
+    Ok(ServeRequest::Dse {
+        workload: doc.field("workload")?.str()?.to_owned(),
+        budget: doc.opt("budget")?.map(|b| b.f64()).transpose()?,
+    })
+}
+
+fn estimate(doc: &Doc) -> Result<ServeRequest, DocError> {
+    let text = |key| -> Result<Option<String>, DocError> {
+        doc.opt(key)?
+            .map(|v| v.str().map(str::to_owned))
+            .transpose()
+    };
+    let (app, program) = (text("app")?, text("program")?);
+    if app.is_none() == program.is_none() {
+        return Err(doc.error("expected exactly one of `app` or `program`"));
+    }
+    Ok(ServeRequest::Estimate {
+        app,
+        program,
+        tie: text("tie")?,
+    })
 }
 
 /// Builds an estimate request body (the client side of

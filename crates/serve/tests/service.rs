@@ -167,6 +167,35 @@ fn inline_programs_estimate_and_bad_inputs_get_typed_errors() {
     stop(&addr, handle);
 }
 
+/// A body nested far deeper than any `emx.*` document is a typed 400,
+/// not a stack overflow that takes the whole server down.
+#[test]
+fn deeply_nested_body_is_a_typed_error_and_the_server_survives() {
+    let (addr, handle) = start();
+    let mut client = HttpClient::new(&addr);
+
+    let body = vec![b'['; 64 * 1024];
+    let response = client
+        .request("POST", "/v1/estimate", Some(&body))
+        .expect("estimate request");
+    assert_eq!(response.status, 400);
+    let doc = Value::parse(std::str::from_utf8(&response.body).unwrap()).expect("JSON envelope");
+    assert_eq!(
+        doc.get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Value::as_str),
+        Some("serve.bad_json"),
+        "{doc}"
+    );
+
+    let response = HttpClient::new(&addr)
+        .request("GET", "/healthz", None)
+        .expect("healthz after the deep body");
+    assert_eq!(response.status, 200);
+
+    stop(&addr, handle);
+}
+
 #[test]
 fn dse_endpoint_runs_a_budgeted_search() {
     let (addr, handle) = start();

@@ -15,6 +15,7 @@
 use std::fmt;
 use std::time::Instant;
 
+use emx_obs::doc::{Doc, DocError};
 use emx_obs::json::Value;
 use emx_obs::Collector;
 
@@ -165,30 +166,20 @@ impl PhaseProfile {
         Value::Obj(obj)
     }
 
-    /// Parses a document produced by [`PhaseProfile::to_json`].
+    /// Parses a document produced by [`PhaseProfile::to_json`], given as
+    /// a [`Value`] or as a [`Doc`] inside a larger document.
     ///
     /// # Errors
     ///
-    /// A description of the first missing or malformed field.
-    pub fn from_json(doc: &Value) -> Result<Self, String> {
-        let field = |name: &str| -> Result<u64, String> {
-            let v = doc
-                .get(name)
-                .ok_or_else(|| format!("phase profile: missing field `{name}`"))?;
-            let n = v
-                .as_f64()
-                .ok_or_else(|| format!("phase profile: field `{name}` is not a number"))?;
-            if !(0.0..=u64::MAX as f64).contains(&n) {
-                return Err(format!("phase profile: field `{name}` out of range"));
-            }
-            Ok(n as u64)
-        };
+    /// A [`DocError`] naming the first missing or malformed field.
+    pub fn from_json<'a, 'p>(doc: impl Into<Doc<'a, 'p>>) -> Result<Self, DocError> {
+        let doc = doc.into();
         let mut profile = PhaseProfile {
-            steps: field("steps")?,
+            steps: doc.field("steps")?.u64()?,
             ..PhaseProfile::default()
         };
         for phase in Phase::ALL {
-            profile.ns[phase.index()] = field(&format!("{}_ns", phase.name()))?;
+            profile.ns[phase.index()] = doc.field(&format!("{}_ns", phase.name()))?.u64()?;
         }
         Ok(profile)
     }
@@ -282,7 +273,7 @@ mod tests {
     #[test]
     fn from_json_rejects_missing_fields() {
         let doc = Value::parse(r#"{"steps": 1, "total_ns": 0}"#).unwrap();
-        let err = PhaseProfile::from_json(&doc).unwrap_err();
+        let err = PhaseProfile::from_json(&doc).unwrap_err().to_string();
         assert!(err.contains("fetch_ns"), "{err}");
     }
 

@@ -1,6 +1,7 @@
 use std::fmt;
 
 use emx_isa::DynClass;
+use emx_obs::doc::{Doc, DocError};
 use emx_obs::json::Value;
 
 /// Execution statistics gathered by instruction-set simulation — the raw
@@ -163,54 +164,58 @@ impl ExecStats {
     }
 
     /// Parses a document written by [`ExecStats::to_json`] back into
-    /// statistics. Returns `None` when the schema differs or any
-    /// required field is missing or malformed.
+    /// statistics, from a [`Value`] or a [`Doc`] inside a larger
+    /// document (a cache entry).
     ///
     /// The round trip is **exact**: `obs::json` prints floats in
     /// shortest-round-trip form and every counter fits `f64` losslessly
     /// under the 2³²-cycle simulation budget, so
-    /// `ExecStats::from_json(&s.to_json()) == Some(s)`. The DSE
+    /// `ExecStats::from_json(&s.to_json()) == Ok(s)`. The DSE
     /// extraction cache relies on this to re-price persisted counts
     /// byte-identically to a fresh simulation.
-    pub fn from_json(doc: &Value) -> Option<ExecStats> {
-        if doc.get("schema").and_then(Value::as_str) != Some("emx.exec-stats/1") {
-            return None;
-        }
+    ///
+    /// # Errors
+    ///
+    /// A [`DocError`] when the schema differs or a required field is
+    /// missing or malformed.
+    pub fn from_json<'a, 'p>(doc: impl Into<Doc<'a, 'p>>) -> Result<ExecStats, DocError> {
+        let doc = doc.into();
+        doc.schema("emx.exec-stats/1")?;
         let mut s = ExecStats::new(0);
-        s.inst_count = doc.get("instructions").and_then(Value::as_u64)?;
-        s.total_cycles = doc.get("total_cycles").and_then(Value::as_u64)?;
-        let classes = doc.get("classes")?;
+        s.inst_count = doc.field("instructions")?.u64()?;
+        s.total_cycles = doc.field("total_cycles")?.u64()?;
+        let classes = doc.field("classes")?;
         for class in DynClass::ALL {
-            let entry = classes.get(&class.to_string())?;
-            s.class_counts[class.index()] = entry.get("count").and_then(Value::as_u64)?;
-            s.class_cycles[class.index()] = entry.get("cycles").and_then(Value::as_u64)?;
+            let name = class.to_string();
+            let entry = classes.field(&name)?;
+            s.class_counts[class.index()] = entry.field("count")?.u64()?;
+            s.class_cycles[class.index()] = entry.field("cycles")?.u64()?;
         }
-        s.icache_misses = doc.get("icache_misses").and_then(Value::as_u64)?;
-        s.dcache_misses = doc.get("dcache_misses").and_then(Value::as_u64)?;
-        s.uncached_fetches = doc.get("uncached_fetches").and_then(Value::as_u64)?;
-        s.interlocks = doc.get("interlocks").and_then(Value::as_u64)?;
-        s.ci_gpr_cycles = doc.get("ci_gpr_cycles").and_then(Value::as_u64)?;
-        s.custom_cycles = doc.get("custom_cycles").and_then(Value::as_u64)?;
+        s.icache_misses = doc.field("icache_misses")?.u64()?;
+        s.dcache_misses = doc.field("dcache_misses")?.u64()?;
+        s.uncached_fetches = doc.field("uncached_fetches")?.u64()?;
+        s.interlocks = doc.field("interlocks")?.u64()?;
+        s.ci_gpr_cycles = doc.field("ci_gpr_cycles")?.u64()?;
+        s.custom_cycles = doc.field("custom_cycles")?.u64()?;
         s.custom_counts = doc
-            .get("custom_counts")
-            .and_then(Value::as_array)?
-            .iter()
-            .map(Value::as_u64)
-            .collect::<Option<Vec<u64>>>()?;
-        let structural = doc.get("structural")?;
+            .field("custom_counts")?
+            .items()?
+            .map(|n| n.u64())
+            .collect::<Result<_, _>>()?;
+        let structural = doc.field("structural")?;
         for category in emx_hwlib::Category::ALL {
-            let entry = structural.get(&category.to_string())?;
-            s.struct_activity[category.index()] = entry.get("activity").and_then(Value::as_f64)?;
-            s.struct_activations[category.index()] =
-                entry.get("activations").and_then(Value::as_f64)?;
+            let name = category.to_string();
+            let entry = structural.field(&name)?;
+            s.struct_activity[category.index()] = entry.field("activity")?.f64()?;
+            s.struct_activations[category.index()] = entry.field("activations")?.f64()?;
         }
-        let opcodes = doc.get("opcode_cycles")?;
+        let opcodes = doc.field("opcode_cycles")?;
         for opcode in emx_isa::Opcode::ALL {
-            if let Some(cycles) = opcodes.get(opcode.mnemonic()).and_then(Value::as_u64) {
-                s.opcode_cycles[opcode.index()] = cycles;
+            if let Some(cycles) = opcodes.opt(opcode.mnemonic())? {
+                s.opcode_cycles[opcode.index()] = cycles.u64()?;
             }
         }
-        Some(s)
+        Ok(s)
     }
 }
 
@@ -340,18 +345,18 @@ mod tests {
 
         let text = s.to_json().to_string();
         let doc = Value::parse(&text).expect("valid JSON");
-        assert_eq!(ExecStats::from_json(&doc), Some(s));
+        assert_eq!(ExecStats::from_json(&doc), Ok(s));
     }
 
     #[test]
     fn from_json_rejects_foreign_and_malformed_documents() {
         let other = Value::parse("{\"schema\":\"emx.exec-stats/2\"}").unwrap();
-        assert_eq!(ExecStats::from_json(&other), None);
+        assert!(ExecStats::from_json(&other).is_err());
         // Dropping a required field fails the parse instead of zeroing
         // a counter silently.
         let mut doc = ExecStats::new(0).to_json();
         doc.set("interlocks", Value::Null);
-        assert_eq!(ExecStats::from_json(&doc), None);
+        assert!(ExecStats::from_json(&doc).is_err());
     }
 
     #[test]

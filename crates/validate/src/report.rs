@@ -12,6 +12,7 @@
 //! pass, so routine model improvements never require a lockstep golden
 //! update (regenerate the golden when convenient; see DESIGN.md §12).
 
+use emx_obs::doc::{self, Doc};
 use emx_obs::json::Value;
 
 use crate::cachecheck::CacheConsistency;
@@ -176,79 +177,46 @@ pub fn to_json(summary: &ReportSummary, xval: Option<&CrossValidation>) -> Value
     doc
 }
 
-fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field `{key}`"))
-}
-
-fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field `{key}`"))
-}
-
-fn field_str(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing or non-string field `{key}`"))
-}
-
 /// Parses a report document back into its comparable summary.
 ///
 /// Rejects unknown schema versions outright: a gate that silently
 /// compares across schema changes would pass on vacuous matches.
 pub fn parse(text: &str) -> Result<ReportSummary, String> {
-    let doc = Value::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
-    let schema = field_str(&doc, "schema")?;
-    if schema != SCHEMA {
-        return Err(format!(
-            "unsupported schema `{schema}` (expected `{SCHEMA}`)"
-        ));
-    }
-    let cv = doc
-        .get("cross_validation")
-        .ok_or("missing `cross_validation`")?;
+    let value = doc::open(text, SCHEMA)?;
+    let doc = Doc::root(&value);
+    let cv = doc.field("cross_validation")?;
     let mut groups = Vec::new();
-    for g in cv
-        .get("groups")
-        .and_then(Value::as_array)
-        .ok_or("missing `cross_validation.groups`")?
-    {
+    for g in cv.field("groups")?.items()? {
         groups.push(GroupSummary {
-            name: field_str(g, "name")?,
-            cases: field_u64(g, "cases")?,
-            mean_abs_percent: field_f64(g, "mean_abs_percent")?,
-            max_abs_percent: field_f64(g, "max_abs_percent")?,
-            r_squared: field_f64(g, "r_squared")?,
+            name: g.field("name")?.str()?.to_owned(),
+            cases: g.field("cases")?.u64()?,
+            mean_abs_percent: g.field("mean_abs_percent")?.f64()?,
+            max_abs_percent: g.field("max_abs_percent")?.f64()?,
+            r_squared: g.field("r_squared")?.f64()?,
         });
     }
-    let fuzz = match doc.get("fuzz") {
-        None | Some(Value::Null) => None,
+    let fuzz = match doc.opt("fuzz")? {
+        None => None,
         Some(f) => Some(FuzzSummary {
-            seed: field_u64(f, "seed")?,
-            cases: field_u64(f, "cases")?,
-            tolerance_percent: field_f64(f, "tolerance_percent")?,
-            violations: field_u64(f, "violations")?,
-            max_abs_percent: field_f64(f, "max_abs_percent")?,
-            mean_abs_percent: field_f64(f, "mean_abs_percent")?,
+            seed: f.field("seed")?.u64()?,
+            cases: f.field("cases")?.u64()?,
+            tolerance_percent: f.field("tolerance_percent")?.f64()?,
+            violations: f.field("violations")?.u64()?,
+            max_abs_percent: f.field("max_abs_percent")?.f64()?,
+            mean_abs_percent: f.field("mean_abs_percent")?.f64()?,
         }),
     };
-    let cache = match doc.get("cache_consistency") {
-        None | Some(Value::Null) => None,
+    let cache = match doc.opt("cache_consistency")? {
+        None => None,
         Some(c) => Some(CacheSummary {
-            candidates: field_u64(c, "candidates")?,
-            byte_identical: c
-                .get("byte_identical")
-                .and_then(Value::as_bool)
-                .ok_or("missing `cache_consistency.byte_identical`")?,
+            candidates: c.field("candidates")?.u64()?,
+            byte_identical: c.field("byte_identical")?.bool()?,
         }),
     };
     Ok(ReportSummary {
-        scheme: field_str(cv, "scheme")?,
-        folds: field_u64(cv, "folds")?,
-        ridge_folds: field_u64(cv, "ridge_folds")?,
+        scheme: cv.field("scheme")?.str()?.to_owned(),
+        folds: cv.field("folds")?.u64()?,
+        ridge_folds: cv.field("ridge_folds")?.u64()?,
         groups,
         fuzz,
         cache,

@@ -272,6 +272,36 @@ fn malformed_discover_report_exits_one() {
     );
 }
 
+/// A discover report whose site names a register outside the register
+/// file is an input failure (exit 1) caught when the report is read, not
+/// a panic (exit 101) when the bridge rewrites the workload.
+#[test]
+fn discover_report_with_an_out_of_range_register_exits_one() {
+    let rs1 = emx::workloads::registry::by_name("rs1").expect("rs1 registered");
+    let report = emx::discover::discover(&rs1, &emx::discover::DiscoverConfig::default())
+        .expect("discovery succeeds");
+    let text = report.to_json().to_string();
+    let start = text.find("\"rs\": ").expect("a site") + "\"rs\": ".len();
+    let end = start + text[start..].find(',').expect("rs value ends");
+    let path = std::env::temp_dir().join(format!("emx-exit-register-{}.json", std::process::id()));
+    std::fs::write(&path, format!("{}300{}", &text[..start], &text[end..])).expect("write report");
+
+    let model = concat!(env!("CARGO_MANIFEST_DIR"), "/model.txt");
+    let out = Command::new(env!("CARGO_BIN_EXE_emx-dse"))
+        .args(["--candidates", path.to_str().unwrap(), "--top", "1"])
+        .args(["--model", model, "--json", "/dev/null"])
+        .output()
+        .expect("spawns");
+    let _ = std::fs::remove_file(&path);
+
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("$.candidates[0].sites[0].rs"),
+        "stderr must name the field: {stderr}"
+    );
+}
+
 /// Fast-failure guarantee: input errors that are checkable up front
 /// (missing golden, missing model) must exit before any simulation runs,
 /// so CI failures are cheap. A generous wall-clock bound catches a

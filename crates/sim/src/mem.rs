@@ -122,6 +122,16 @@ impl Memory {
     pub fn touched_pages(&self) -> usize {
         self.pages.len()
     }
+
+    /// The touched pages in address order, as `(base address, bytes)`,
+    /// so a whole memory image can be compared or digested
+    /// deterministically.
+    pub fn pages(&self) -> impl Iterator<Item = (u32, &[u8])> + '_ {
+        let mut keys: Vec<u32> = self.pages.keys().copied().collect();
+        keys.sort_unstable();
+        keys.into_iter()
+            .map(|k| (k << PAGE_SHIFT, &self.pages[&k][..]))
+    }
 }
 
 #[cfg(test)]
@@ -159,6 +169,15 @@ mod tests {
         let mut m = Memory::new();
         m.write_bytes(0x40, &[1, 2, 3, 4, 5]);
         assert_eq!(m.read_bytes(0x40, 5), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn pages_come_in_address_order() {
+        let mut m = Memory::new();
+        m.write_u8(0x3005, 9);
+        m.write_u8(0x1000, 7);
+        let pages: Vec<(u32, u8, u8)> = m.pages().map(|(base, p)| (base, p[0], p[5])).collect();
+        assert_eq!(pages, vec![(0x1000, 7, 0), (0x3000, 0, 9)]);
     }
 
     #[test]

@@ -2,7 +2,7 @@ use emx_hwlib::{Category, HwEnergyParams};
 use emx_isa::{CustomId, Program, Reg};
 use emx_obs::Collector;
 use emx_sim::{
-    ActivitySink, ExecStats, InstKind, InstRecord, MemAccess, PipelineSim, ProcConfig, SimError,
+    ActivitySink, ExecStats, InstKind, InstRecord, Interp, MemAccess, ProcConfig, SimError,
 };
 use emx_tie::{ExtensionSet, InputBind, OutputBind};
 
@@ -481,7 +481,7 @@ impl EnergyReport {
 /// The RTL-level reference energy estimator (WattWatcher substitute).
 ///
 /// Estimation is a two-phase flow mirroring the paper's setup: the
-/// detailed pipeline simulation first **materializes a full activity
+/// activity-streaming simulation first **materializes a full activity
 /// trace** (ModelSim's role), which is then integrated **cycle by cycle
 /// and net by net** — per-bit bus/fetch toggle counting, per-cycle clock
 /// and leakage accounting, full re-evaluation of every custom datapath's
@@ -574,9 +574,9 @@ impl RtlEnergyEstimator {
     ) -> Result<EnergyReport, SimError> {
         // Phase 1: detailed simulation → materialized activity trace.
         let span = obs.begin("rtl-activity-trace");
-        let mut sim = PipelineSim::new(program, ext, config);
+        let mut sim = Interp::new(program, ext, config);
         let mut collector = TraceCollector { trace: Vec::new() };
-        let run = sim.run(&mut collector, max_cycles);
+        let run = sim.run_with_sink(&mut collector, max_cycles);
         obs.end(span);
         let run = run?;
         obs.add("rtl.trace_records", collector.trace.len() as f64);
@@ -614,9 +614,9 @@ impl RtlEnergyEstimator {
         window_cycles: u64,
     ) -> Result<(EnergyReport, PowerProfile), SimError> {
         assert!(window_cycles > 0, "window size must be nonzero");
-        let mut sim = PipelineSim::new(program, ext, config);
+        let mut sim = Interp::new(program, ext, config);
         let mut collector = TraceCollector { trace: Vec::new() };
-        let run = sim.run(&mut collector, u64::from(u32::MAX))?;
+        let run = sim.run_with_sink(&mut collector, u64::from(u32::MAX))?;
 
         let mut integrator = Integrator::new(&self.base, &self.hw, ext);
         integrator.profile = Some(ProfileAcc {

@@ -1,19 +1,9 @@
-use emx_isa::program::layout;
-use emx_isa::{encode, DynClass, Inst, Opcode, Program, Reg};
+use emx_isa::{Program, Reg};
 use emx_tie::ExtensionSet;
 
-use crate::phase::{lap, NullPhases, Phase, PhaseProfile, PhaseRecorder};
-use crate::record::{ActivitySink, CustomActivity, InstKind, InstRecord, MemAccess, NullSink};
+use crate::phase::{NullPhases, PhaseProfile};
+use crate::record::{ActivitySink, NullSink};
 use crate::{Cache, CoreState, ExecStats, ProcConfig, SimError};
-
-/// What kind of delayed-result hazard the previous instruction left
-/// behind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum HazKind {
-    Load,
-    Mul,
-    Custom,
-}
 
 /// Result of a completed simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +34,9 @@ pub struct Interp<'a> {
     pub(crate) icache: Cache,
     pub(crate) dcache: Cache,
     pub(crate) stats: ExecStats,
-    pub(crate) hazard: Option<(Reg, HazKind)>,
+    /// Destination of the previous instruction's delayed result (load,
+    /// multiply or custom), which stalls a reader for one cycle.
+    pub(crate) hazard: Option<Reg>,
 }
 
 impl<'a> Interp<'a> {
@@ -80,23 +72,20 @@ impl<'a> Interp<'a> {
     /// Runs until `halt`, or until `max_cycles` simulated cycles have
     /// elapsed.
     ///
-    /// This is the fast path: it executes over a pre-decoded micro-op
-    /// table (see the `uop` module) and is observationally identical —
-    /// statistics, architectural state, and errors — to the legacy
-    /// single-step interpreter, which remains available as
-    /// [`Interp::run_legacy`] for differential testing.
+    /// This is the statistics fast path: the micro-op engine (see the
+    /// `uop` module) with no activity records and no phase timing.
     ///
     /// # Errors
     ///
     /// [`SimError::CycleLimit`] if the budget is exhausted, plus any
-    /// executor error ([`SimError::InvalidPc`], [`SimError::Unaligned`],
+    /// execution error ([`SimError::InvalidPc`], [`SimError::Unaligned`],
     /// …).
     pub fn run(&mut self, max_cycles: u64) -> Result<RunResult, SimError> {
-        crate::uop::run(self, max_cycles)
+        crate::uop::run::<_, _, false>(self, max_cycles, &mut NullSink, &mut NullPhases, &mut [])
     }
 
-    /// Runs like [`Interp::run`] (micro-op engine) while counting retired
-    /// executions of each static instruction into `counts`, indexed like
+    /// Runs like [`Interp::run`] while counting retired executions of
+    /// each static instruction into `counts`, indexed like
     /// `Program::text`. `counts` is resized to the program length; a
     /// caller-provided buffer lets repeated runs reuse one allocation.
     ///
@@ -116,25 +105,34 @@ impl<'a> Interp<'a> {
     ) -> Result<RunResult, SimError> {
         counts.clear();
         counts.resize(self.program.len(), 0);
-        crate::uop::run_counting(self, max_cycles, counts)
+        crate::uop::run::<_, _, true>(self, max_cycles, &mut NullSink, &mut NullPhases, counts)
     }
 
-    /// Runs like [`Interp::run`] on the legacy single-step interpreter
-    /// instead of the micro-op engine. The two paths are byte-identical
-    /// in statistics, state and errors; this one exists as the
-    /// differential-testing reference (and is what the activity-streaming
-    /// [`Interp::run_with_sink`] path uses internally).
+    /// Runs like [`Interp::run`] while streaming one activity record per
+    /// retired instruction into `sink`: fetched encoding, operand and
+    /// result buses, cache behaviour, stall and flush cycles and
+    /// custom-datapath node values. This is the trace the RTL-level
+    /// energy estimator integrates; the statistics are identical to
+    /// [`Interp::run`]'s.
     ///
-    /// # Errors
+    /// # Example
     ///
-    /// Same conditions as [`Interp::run`].
-    pub fn run_legacy(&mut self, max_cycles: u64) -> Result<RunResult, SimError> {
-        self.run_with_sink(&mut NullSink, max_cycles)
-    }
-
-    /// Runs like [`Interp::run`] while streaming per-instruction activity
-    /// records into `sink`. This is the slow, detailed path used by the
-    /// RTL-level energy estimator.
+    /// ```
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// use emx_isa::asm::Assembler;
+    /// use emx_sim::{InstRecord, Interp, ProcConfig};
+    /// use emx_tie::ExtensionSet;
+    ///
+    /// let program = Assembler::new().assemble("movi a2, 3\nhalt")?;
+    /// let ext = ExtensionSet::empty();
+    /// let mut cycles = 0u64;
+    /// let mut sink = |r: &InstRecord<'_>| cycles += u64::from(r.cycles);
+    /// let mut sim = Interp::new(&program, &ext, ProcConfig::default());
+    /// let run = sim.run_with_sink(&mut sink, 1_000)?;
+    /// assert_eq!(cycles, run.stats.total_cycles);
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Errors
     ///
@@ -144,35 +142,7 @@ impl<'a> Interp<'a> {
         sink: &mut S,
         max_cycles: u64,
     ) -> Result<RunResult, SimError> {
-        self.run_with_phases(sink, &mut NullPhases, max_cycles)
-    }
-
-    /// Runs like [`Interp::run_with_sink`] while attributing host time
-    /// to the five per-instruction phases via `phases`.
-    ///
-    /// With [`NullPhases`] this is exactly [`Interp::run_with_sink`] —
-    /// the `const ACTIVE` flag removes every clock read at compile time.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Interp::run`].
-    pub fn run_with_phases<S: ActivitySink, P: PhaseRecorder>(
-        &mut self,
-        sink: &mut S,
-        phases: &mut P,
-        max_cycles: u64,
-    ) -> Result<RunResult, SimError> {
-        loop {
-            if self.stats.total_cycles >= max_cycles {
-                return Err(SimError::CycleLimit(max_cycles));
-            }
-            if self.step_counted(sink, phases)? {
-                return Ok(RunResult {
-                    stats: self.stats.clone(),
-                    halted: true,
-                });
-            }
-        }
+        crate::uop::run::<_, _, false>(self, max_cycles, sink, &mut NullPhases, &mut [])
     }
 
     /// Runs with phase profiling enabled and folds the result into
@@ -195,203 +165,19 @@ impl<'a> Interp<'a> {
             return Ok((run, PhaseProfile::new()));
         }
         let mut profile = PhaseProfile::new();
-        let run = self.run_with_phases(&mut NullSink, &mut profile, max_cycles)?;
+        let run =
+            crate::uop::run::<_, _, false>(self, max_cycles, &mut NullSink, &mut profile, &mut [])?;
         profile.export_to(collector);
         Ok((run, profile))
-    }
-
-    /// Executes one instruction with full cycle accounting; returns `true`
-    /// on `halt`.
-    fn step_counted<S: ActivitySink, P: PhaseRecorder>(
-        &mut self,
-        sink: &mut S,
-        phases: &mut P,
-    ) -> Result<bool, SimError> {
-        let mut clock = None;
-        lap(phases, Phase::Fetch, &mut clock); // starts the lap clock
-        let pc = self.state.pc();
-
-        // ---- instruction fetch ------------------------------------------------
-        let fetch_uncached = layout::is_uncached(pc);
-        let mut penalty_cycles: u32 = 0;
-        let mut fetch_hit = true;
-        if fetch_uncached {
-            self.stats.uncached_fetches += 1;
-            penalty_cycles += self.config.uncached_fetch_penalty;
-            fetch_hit = false;
-        } else if !self.icache.access(pc, false).hit {
-            self.stats.icache_misses += 1;
-            penalty_cycles += self.config.icache_miss_penalty;
-            fetch_hit = false;
-        }
-
-        lap(phases, Phase::Fetch, &mut clock);
-
-        // ---- decode ------------------------------------------------------------
-        let inst = crate::exec::decode(self.program, pc)?;
-        lap(phases, Phase::Decode, &mut clock);
-
-        // ---- execute -----------------------------------------------------------
-        let out = crate::exec::execute(&mut self.state, self.ext, inst, pc)?;
-
-        // ---- interlock detection ------------------------------------------------
-        let (read_a, read_b) = match &out.inst {
-            Inst::Base(b) => b.read_regs(),
-            Inst::Custom(c) => {
-                // exec::step validated the id, but re-check instead of
-                // panicking so a future desync stays a recoverable error.
-                let spec = self.ext.get(c.id).ok_or(SimError::UnknownCustom(c.id))?;
-                let sig = spec.signature();
-                (
-                    (sig.gpr_reads >= 1).then_some(c.rs),
-                    (sig.gpr_reads >= 2).then_some(c.rt),
-                )
-            }
-        };
-        let mut stall_cycles = 0u32;
-        if let Some((hreg, _)) = self.hazard {
-            if read_a == Some(hreg) || read_b == Some(hreg) {
-                stall_cycles = 1;
-                self.stats.interlocks += 1;
-            }
-        }
-
-        // ---- per-kind cycle accounting -------------------------------------------
-        let (kind, base_cycles, flush_cycles) = match &out.inst {
-            Inst::Base(b) => {
-                let class = DynClass::from_base(b.op.base_class(), out.taken);
-                let cost = match class {
-                    DynClass::BranchTaken => self.config.branch_taken_cycles,
-                    DynClass::Jump if b.op != Opcode::Halt => self.config.jump_cycles,
-                    _ => 1,
-                };
-                self.stats.class_cycles[class.index()] += u64::from(cost);
-                self.stats.class_counts[class.index()] += 1;
-                self.stats.opcode_cycles[b.op.index()] += u64::from(cost);
-                // `saturating_sub`: a zero-cost branch/jump config (legal,
-                // if unusual) must yield zero flush cycles, not underflow.
-                (
-                    InstKind::Base(class, b.op.exec_unit()),
-                    cost,
-                    cost.saturating_sub(1),
-                )
-            }
-            Inst::Custom(c) => {
-                let spec = self.ext.get(c.id).ok_or(SimError::UnknownCustom(c.id))?;
-                let cost = u32::from(spec.latency());
-                self.stats.custom_cycles += u64::from(cost);
-                if spec.uses_gpr() {
-                    self.stats.ci_gpr_cycles += u64::from(cost);
-                }
-                self.stats.custom_counts[c.id.0 as usize] += 1;
-                for (acc, add) in self
-                    .stats
-                    .struct_activity
-                    .iter_mut()
-                    .zip(spec.resource_vector())
-                {
-                    *acc += add;
-                }
-                for (acc, add) in self
-                    .stats
-                    .struct_activations
-                    .iter_mut()
-                    .zip(spec.resource_counts())
-                {
-                    *acc += add;
-                }
-                (InstKind::Custom(c.id), cost, 0)
-            }
-        };
-        lap(phases, Phase::Execute, &mut clock);
-
-        // ---- data memory ------------------------------------------------------------
-        let mem = out.mem.map(|d| {
-            let uncached = layout::is_uncached(d.addr);
-            let (hit, writeback) = if uncached {
-                self.stats.dcache_misses += 1;
-                penalty_cycles += self.config.uncached_fetch_penalty;
-                (false, false)
-            } else {
-                let acc = self.dcache.access(d.addr, d.write);
-                if !acc.hit {
-                    self.stats.dcache_misses += 1;
-                    penalty_cycles += self.config.dcache_miss_penalty;
-                }
-                (acc.hit, acc.writeback)
-            };
-            MemAccess {
-                addr: d.addr,
-                size: d.size,
-                write: d.write,
-                value: d.value,
-                hit,
-                writeback,
-                uncached,
-            }
-        });
-        lap(phases, Phase::Memory, &mut clock);
-
-        // ---- hazard bookkeeping for the next instruction ----------------------------
-        self.hazard = match &out.inst {
-            Inst::Base(b) if b.op.base_class() == emx_isa::BaseClass::Load => {
-                out.result.map(|(r, _)| (r, HazKind::Load))
-            }
-            Inst::Base(b) if b.op.is_multiply() => out.result.map(|(r, _)| (r, HazKind::Mul)),
-            Inst::Custom(_) => out.result.map(|(r, _)| (r, HazKind::Custom)),
-            _ => None,
-        };
-
-        // ---- totals --------------------------------------------------------------------
-        let cycles = base_cycles + stall_cycles + penalty_cycles;
-        self.stats.total_cycles += u64::from(cycles);
-        self.stats.inst_count += 1;
-
-        // ---- activity record (skipped entirely on the fast path) -------------------------
-        if S::ACTIVE {
-            let custom = match (&out.inst, out.custom) {
-                (Inst::Custom(_), Some(id)) => {
-                    let spec = self.ext.get(id).ok_or(SimError::UnknownCustom(id))?;
-                    Some(CustomActivity {
-                        id,
-                        latency: spec.latency(),
-                        uses_gpr: spec.uses_gpr(),
-                        node_values: self.state.last_custom_nodes(),
-                    })
-                }
-                _ => None,
-            };
-            let record = InstRecord {
-                pc,
-                word: encode(&out.inst),
-                inst: out.inst,
-                kind,
-                operand_a: out.operand_a,
-                operand_b: out.operand_b,
-                result: out.result,
-                cycles,
-                stall_cycles,
-                flush_cycles,
-                fetch_hit,
-                fetch_uncached,
-                mem,
-                custom,
-            };
-            sink.record(&record);
-        }
-        lap(phases, Phase::Observe, &mut clock);
-        if P::ACTIVE {
-            phases.retire();
-        }
-
-        Ok(out.halted)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::InstRecord;
     use emx_isa::asm::Assembler;
+    use emx_isa::DynClass;
 
     fn sim(src: &str) -> (ExecStats, u32) {
         let program = Assembler::new().assemble(src).unwrap();
@@ -558,28 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn uop_and_legacy_agree_on_error_paths() {
-        // Errors must leave byte-identical partial stats and state on
-        // both engines: invalid pc (fall off the end), unaligned access,
-        // and the cycle limit.
-        for src in [
-            "nop\nnop\n",                       // falls off the text segment
-            "movi a2, 1\nl32i a3, 0(a2)\nhalt", // unaligned load
-            "l: j l\n",                         // spins into the cycle limit
-        ] {
-            let program = Assembler::new().assemble(src).unwrap();
-            let ext = ExtensionSet::empty();
-            let mut fast = Interp::new(&program, &ext, ProcConfig::default());
-            let fast_err = fast.run(100).unwrap_err();
-            let mut slow = Interp::new(&program, &ext, ProcConfig::default());
-            let slow_err = slow.run_legacy(100).unwrap_err();
-            assert_eq!(fast_err, slow_err, "{src:?}");
-            assert_eq!(fast.stats(), slow.stats(), "{src:?}");
-            assert_eq!(fast.state().pc(), slow.state().pc(), "{src:?}");
-        }
-    }
-
-    #[test]
     fn stats_match_between_fast_and_sinked_runs() {
         let src = "movi a2, 50\nmovi a3, 0\nl: add a3, a3, a2\naddi a2, a2, -1\nbnez a2, l\nhalt";
         let program = Assembler::new().assemble(src).unwrap();
@@ -590,5 +354,219 @@ mod tests {
         let mut sink = |_: &InstRecord<'_>| {};
         let slow_stats = slow.run_with_sink(&mut sink, 1_000_000).unwrap().stats;
         assert_eq!(fast_stats, slow_stats);
+    }
+
+    #[test]
+    fn record_cycles_sum_to_total() {
+        let program = Assembler::new()
+            .assemble(
+                ".data\nv: .word 1,2,3,4\n.text\nmovi a2, v\nmovi a3, 4\nmovi a5, 0\n\
+                 l: l32i a4, 0(a2)\nadd a5, a5, a4\naddi a2, a2, 4\naddi a3, a3, -1\n\
+                 bnez a3, l\nhalt",
+            )
+            .unwrap();
+        let ext = ExtensionSet::empty();
+        let mut sum = 0u64;
+        let mut stalls = 0u64;
+        let mut sink = |r: &InstRecord<'_>| {
+            sum += u64::from(r.cycles);
+            stalls += u64::from(r.stall_cycles);
+        };
+        let mut sim = Interp::new(&program, &ext, ProcConfig::default());
+        let run = sim.run_with_sink(&mut sink, 100_000).unwrap();
+        assert_eq!(sum, run.stats.total_cycles);
+        assert_eq!(stalls, run.stats.interlocks);
+        assert_eq!(sim.state().reg(Reg::new(5)), 10);
+    }
+
+    #[test]
+    fn fetch_flags_in_records() {
+        let program = Assembler::new().assemble("nop\nnop\nhalt").unwrap();
+        let ext = ExtensionSet::empty();
+        let mut hits = Vec::new();
+        let mut sink = |r: &InstRecord<'_>| hits.push(r.fetch_hit);
+        Interp::new(&program, &ext, ProcConfig::default())
+            .run_with_sink(&mut sink, 1_000)
+            .unwrap();
+        // First fetch misses the cold cache, the rest of the line hits.
+        assert_eq!(hits, vec![false, true, true]);
+    }
+
+    // ---- instruction semantics, observed through `Interp::run` ---------------
+
+    type TestResult = Result<(), Box<dyn std::error::Error>>;
+
+    fn run_to_halt(src: &str) -> Result<CoreState, Box<dyn std::error::Error>> {
+        let program = Assembler::new().assemble(src)?;
+        let ext = ExtensionSet::empty();
+        let mut sim = Interp::new(&program, &ext, ProcConfig::default());
+        sim.run(100_000)?;
+        Ok(sim.state().clone())
+    }
+
+    /// Runs `src` to its first error and returns it.
+    fn run_to_error(src: &str) -> Result<SimError, Box<dyn std::error::Error>> {
+        let program = Assembler::new().assemble(src)?;
+        let ext = ExtensionSet::empty();
+        let mut sim = Interp::new(&program, &ext, ProcConfig::default());
+        match sim.run(100_000) {
+            Ok(_) => Err("program halted".into()),
+            Err(e) => Ok(e),
+        }
+    }
+
+    fn r(i: u8) -> Reg {
+        Reg::new(i)
+    }
+
+    #[test]
+    fn arithmetic_semantics() -> TestResult {
+        let s = run_to_halt(
+            "movi a2, 7\nmovi a3, -3\nadd a4, a2, a3\nsub a5, a2, a3\nmul a6, a2, a3\n\
+             neg a7, a3\nabs a8, a3\nclz a9, a2\nmax a10, a2, a3\nminu a11, a2, a3\nhalt",
+        )?;
+        assert_eq!(s.reg(r(4)), 4);
+        assert_eq!(s.reg(r(5)), 10);
+        assert_eq!(s.reg(r(6)) as i32, -21);
+        assert_eq!(s.reg(r(7)), 3);
+        assert_eq!(s.reg(r(8)), 3);
+        assert_eq!(s.reg(r(9)), 29);
+        assert_eq!(s.reg(r(10)), 7);
+        assert_eq!(s.reg(r(11)), 7); // unsigned: -3 is huge
+        Ok(())
+    }
+
+    #[test]
+    fn shift_semantics() -> TestResult {
+        let s = run_to_halt(
+            "movi a2, 0x80000001\nslli a3, a2, 1\nsrli a4, a2, 1\nsrai a5, a2, 1\n\
+             rori a6, a2, 1\nmovi a7, 4\nsll a8, a2, a7\nhalt",
+        )?;
+        assert_eq!(s.reg(r(3)), 2);
+        assert_eq!(s.reg(r(4)), 0x4000_0000);
+        assert_eq!(s.reg(r(5)), 0xc000_0000);
+        assert_eq!(s.reg(r(6)), 0xc000_0000);
+        assert_eq!(s.reg(r(8)), 0x10);
+        Ok(())
+    }
+
+    #[test]
+    fn mul_variants() -> TestResult {
+        let s = run_to_halt(
+            "movi a2, 0x10000\nmovi a3, 0x10000\nmulh a4, a2, a3\nmuluh a5, a2, a3\n\
+             movi a6, -2\nmovi a7, 3\nmul16s a8, a6, a7\nmul16u a9, a6, a7\nhalt",
+        )?;
+        assert_eq!(s.reg(r(4)), 1);
+        assert_eq!(s.reg(r(5)), 1);
+        assert_eq!(s.reg(r(8)) as i32, -6);
+        assert_eq!(s.reg(r(9)), 0xfffe * 3);
+        Ok(())
+    }
+
+    #[test]
+    fn extui_and_sext() -> TestResult {
+        let s = run_to_halt(
+            "movi a2, 0x12345678\nextui a3, a2, 8, 12\nmovi a4, 0x80\nsext8 a5, a4\n\
+             movi a6, 0x8000\nsext16 a7, a6\nhalt",
+        )?;
+        assert_eq!(s.reg(r(3)), 0x456);
+        assert_eq!(s.reg(r(5)), 0xffff_ff80);
+        assert_eq!(s.reg(r(7)), 0xffff_8000);
+        Ok(())
+    }
+
+    #[test]
+    fn conditional_moves() -> TestResult {
+        let s = run_to_halt(
+            "movi a2, 5\nmovi a3, 0\nmovi a4, 99\nmoveqz a4, a2, a3\n\
+             movi a5, 99\nmovnez a5, a2, a3\nmovi a6, -1\nmovi a7, 99\nmovltz a7, a2, a6\nhalt",
+        )?;
+        assert_eq!(s.reg(r(4)), 5); // a3 == 0 → moved
+        assert_eq!(s.reg(r(5)), 99); // a3 == 0 → not moved
+        assert_eq!(s.reg(r(7)), 5); // a6 < 0 → moved
+        Ok(())
+    }
+
+    #[test]
+    fn memory_round_trip() -> TestResult {
+        let s = run_to_halt(
+            ".data\nbuf: .space 16\n.text\nmovi a2, buf\nmovi a3, 0x1234abcd\n\
+             s32i a3, 0(a2)\nl32i a4, 0(a2)\nl16ui a5, 0(a2)\nl16si a6, 2(a2)\n\
+             l8ui a7, 3(a2)\ns8i a3, 8(a2)\nl8si a8, 8(a2)\nhalt",
+        )?;
+        assert_eq!(s.reg(r(4)), 0x1234_abcd);
+        assert_eq!(s.reg(r(5)), 0xabcd);
+        assert_eq!(s.reg(r(6)), 0x1234);
+        assert_eq!(s.reg(r(7)), 0x12);
+        assert_eq!(s.reg(r(8)), 0xffff_ffcd);
+        Ok(())
+    }
+
+    #[test]
+    fn unaligned_access_faults() -> TestResult {
+        assert_eq!(
+            run_to_error("movi a2, 1\nl32i a3, 0(a2)\nhalt")?,
+            SimError::Unaligned { addr: 1, size: 4 }
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn calls_and_returns() -> TestResult {
+        let s = run_to_halt("movi a2, 1\ncall fn\nmovi a4, 7\nhalt\nfn: movi a3, 6\nret")?;
+        assert_eq!(s.reg(r(3)), 6);
+        assert_eq!(s.reg(r(4)), 7);
+        Ok(())
+    }
+
+    #[test]
+    fn computed_jump() -> TestResult {
+        let s = run_to_halt("movi a2, tgt\njx a2\nmovi a3, 1\nhalt\ntgt: movi a3, 2\nhalt")?;
+        assert_eq!(s.reg(r(3)), 2);
+        Ok(())
+    }
+
+    #[test]
+    fn branch_taken_and_untaken() -> TestResult {
+        let program = Assembler::new()
+            .assemble("movi a2, 0\nbeqz a2, yes\nnop\nyes: bnez a2, no\nhalt\nno: nop\nhalt")?;
+        let ext = ExtensionSet::empty();
+        let mut classes = Vec::new();
+        let mut sink = |rec: &InstRecord<'_>| {
+            if let crate::InstKind::Base(class, _) = rec.kind {
+                classes.push(class);
+            }
+        };
+        Interp::new(&program, &ext, ProcConfig::default()).run_with_sink(&mut sink, 1_000)?;
+        // beqz on zero is taken (skipping the nop); bnez on zero is not.
+        assert_eq!(classes[1], DynClass::BranchTaken);
+        assert_eq!(classes[2], DynClass::BranchUntaken);
+        Ok(())
+    }
+
+    #[test]
+    fn mask_branches() -> TestResult {
+        let s = run_to_halt(
+            "movi a2, 0b1110\nmovi a3, 0b0110\nmovi a4, 0\n\
+             ball a2, a3, t1\nj end\nt1: addi a4, a4, 1\n\
+             bany a2, a3, t2\nj end\nt2: addi a4, a4, 1\n\
+             movi a5, 0b0001\nbnone a2, a5, t3\nj end\nt3: addi a4, a4, 1\n\
+             end: halt",
+        )?;
+        assert_eq!(s.reg(r(4)), 3);
+        Ok(())
+    }
+
+    #[test]
+    fn invalid_pc_detected() -> TestResult {
+        assert_eq!(run_to_error("nop\nnop\n")?, SimError::InvalidPc(8));
+        Ok(())
+    }
+
+    #[test]
+    fn l32r_reads_literal() -> TestResult {
+        let s = run_to_halt(".data\nk: .word 0xcafef00d\n.text\nl32r a2, k\nhalt")?;
+        assert_eq!(s.reg(r(2)), 0xcafe_f00d);
+        Ok(())
     }
 }

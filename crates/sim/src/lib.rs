@@ -1,27 +1,28 @@
 //! Simulators for the emx extensible processor.
 //!
-//! Two simulation paths mirror the two sides of the paper's methodology:
+//! [`Interp`] is a fast **instruction-set simulator** (the stand-in for
+//! the Xtensa ISS). It executes programs over a pre-decoded micro-op
+//! table, and models the caches and the hazard scoreboard just enough to
+//! count the macro-model's instruction-level variables (per-class
+//! cycles, cache misses, uncached fetches, interlocks,
+//! custom-instruction side-effect cycles) and to perform the dynamic
+//! resource-usage analysis for the structural variables.
 //!
-//! * [`Interp`] — a fast **functional instruction-set simulator** (the
-//!   stand-in for the Xtensa ISS). It executes programs, models the caches
-//!   and the hazard scoreboard just enough to count the macro-model's
-//!   instruction-level variables (per-class cycles, cache misses, uncached
-//!   fetches, interlocks, custom-instruction side-effect cycles) and to
-//!   perform the dynamic resource-usage analysis for the structural
-//!   variables. This is the *only* simulation the macro-model needs
-//!   (steps 9–10 of the paper's flow).
-//! * [`PipelineSim`] — a **cycle-accounted micro-architectural simulator**
-//!   that additionally reconstructs, for every retired instruction, the
-//!   full stage-level activity of the five-stage pipeline (fetched
-//!   encoding bits, operand/result bus values, functional-unit operands,
+//! The same engine serves both sides of the paper's methodology:
+//!
+//! * [`Interp::run`] gathers the statistics alone. This is the *only*
+//!   simulation the macro-model needs (steps 9–10 of the paper's flow).
+//! * [`Interp::run_with_sink`] additionally streams, for every retired
+//!   instruction, the stage-level activity of the five-stage pipeline
+//!   ([`InstRecord`]: fetched encoding bits, operand/result bus values,
 //!   cache array accesses, custom-datapath node values, stall/flush
-//!   cycles). Its activity stream feeds the RTL-level reference energy
-//!   estimator in `emx-rtlpower`, playing the role of the paper's
-//!   ModelSim trace generation for WattWatcher.
+//!   cycles) into an [`ActivitySink`]. This stream feeds the RTL-level
+//!   reference energy estimator in `emx-rtlpower`, playing the role of
+//!   the paper's ModelSim trace generation for WattWatcher.
 //!
-//! Both paths share one executor ([`exec`]) and one timing rule set, so
-//! their cycle accounting agrees exactly; the pipeline path is slower
-//! because it materializes per-instruction activity.
+//! The sink is a generic parameter with a `const ACTIVE` flag, so one
+//! loop yields identical statistics on both paths and the fast path
+//! builds no records at all.
 //!
 //! # Example
 //!
@@ -49,12 +50,11 @@
 mod cache;
 mod config;
 mod error;
-pub mod exec;
+mod exec;
 mod iss;
 mod mem;
 pub mod observe;
 mod phase;
-mod pipeline;
 mod record;
 mod stats;
 pub mod trace;
@@ -67,6 +67,5 @@ pub use exec::CoreState;
 pub use iss::{Interp, RunResult};
 pub use mem::Memory;
 pub use phase::{NullPhases, Phase, PhaseProfile, PhaseRecorder};
-pub use pipeline::PipelineSim;
 pub use record::{ActivitySink, CustomActivity, InstKind, InstRecord, MemAccess};
 pub use stats::ExecStats;

@@ -1,10 +1,11 @@
 //! Phase-attribution profiling for the ISS hot path.
 //!
-//! [`Interp::step_counted`] walks five fixed sections per retired
-//! instruction — fetch, decode, execute, data memory, and observation
-//! (hazard/statistics/activity bookkeeping). A [`PhaseRecorder`]
-//! attributes host wall-clock time to each section so the bench report
-//! can show *where* simulator time goes, not just how much there is.
+//! The micro-op engine behind [`Interp`](crate::Interp) walks five fixed
+//! sections per retired instruction — decode (the pre-decoded table
+//! lookup), fetch, execute, data memory, and observation (statistics
+//! totals and the activity record). A [`PhaseRecorder`] attributes host
+//! wall-clock time to each section so the bench report can show *where*
+//! simulator time goes, not just how much there is.
 //!
 //! The design mirrors [`ActivitySink`](crate::ActivitySink): the
 //! recorder is a generic parameter with a `const ACTIVE` flag, so the
@@ -24,14 +25,14 @@ use emx_obs::Collector;
 pub enum Phase {
     /// Instruction fetch: I-cache lookup / uncached-fetch accounting.
     Fetch,
-    /// Instruction lookup in the pre-decoded text segment.
+    /// Instruction lookup in the pre-decoded micro-op table.
     Decode,
-    /// Architectural execution plus interlock detection and per-class
-    /// cycle accounting.
+    /// Architectural execution plus per-class cycle accounting, interlock
+    /// detection and hazard bookkeeping.
     Execute,
     /// Data-memory access and D-cache simulation.
     Memory,
-    /// Hazard bookkeeping, statistics totals, and the activity record.
+    /// Statistics totals and the activity record.
     Observe,
 }
 

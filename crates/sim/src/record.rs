@@ -84,7 +84,7 @@ pub struct InstRecord<'a> {
     pub custom: Option<CustomActivity<'a>>,
 }
 
-/// Consumer of the pipeline simulator's activity stream.
+/// Consumer of the ISS activity stream ([`crate::Interp::run_with_sink`]).
 ///
 /// The reference energy estimator implements this; tests use it to capture
 /// traces. Records borrow from simulator-internal buffers, so a sink that

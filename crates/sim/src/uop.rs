@@ -1,6 +1,6 @@
-//! Pre-decoded micro-op execution engine — the ISS hot path.
+//! The micro-op execution engine — the simulator's only engine.
 //!
-//! [`crate::Interp::run`] decodes each static instruction **once** into a
+//! [`crate::Interp`] decodes each static instruction **once** into a
 //! dense micro-op table (dynamic class, cycle cost, register read mask and
 //! icache line resolved up front) and then drives execution by dispatching
 //! over that table, keeping every counter in a register-resident local
@@ -9,18 +9,25 @@
 //! single cache access (see the proof at [`run`]), which amortizes the
 //! fetch bookkeeping over straight-line blocks.
 //!
-//! The engine is observationally identical to the legacy single-step
-//! interpreter ([`crate::Interp::run_legacy`]): the final `ExecStats`,
-//! architectural state and error (including which counters were already
-//! bumped when an error fired) are byte-for-byte the same. The legacy
-//! path stays behind `run_legacy`/`run_with_sink` for differential
-//! testing and for the activity-streaming consumers.
+//! One loop serves every consumer. It is generic over an
+//! [`ActivitySink`], which receives the full per-instruction
+//! [`InstRecord`] stream the RTL-level estimator integrates, and over a
+//! [`PhaseRecorder`] that attributes host time to the loop's phases.
+//! Both carry a `const ACTIVE` flag: with [`crate::record::NullSink`] and
+//! [`crate::NullPhases`] every record field and clock read is dead code,
+//! so the statistics fast path pays nothing for them.
+//!
+//! tests/differential.rs pins the statistics, architectural state, errors
+//! and record stream to a golden corpus recorded from the single-step
+//! interpreter this engine replaced.
 
 use emx_isa::program::layout;
-use emx_isa::{BaseClass, DynClass, Inst, Opcode, Program, Reg};
+use emx_isa::{encode, BaseClass, DynClass, Inst, Opcode, Program, Reg};
 use emx_tie::{CompiledInst, ExtensionSet};
 
-use crate::iss::{HazKind, Interp, RunResult};
+use crate::iss::{Interp, RunResult};
+use crate::phase::{lap, Phase, PhaseRecorder};
+use crate::record::{ActivitySink, CustomActivity, InstKind, InstRecord, MemAccess};
 use crate::SimError;
 
 /// Sentinel icache line id for instructions in the uncached region.
@@ -126,7 +133,7 @@ fn build<'e>(
                 Inst::Custom(c) => {
                     // An id outside the extension set builds a zero mask;
                     // execution errors with `UnknownCustom` before the mask
-                    // is ever consulted, exactly like the legacy path.
+                    // is ever consulted.
                     let read_mask = ext.get(c.id).map_or(0, |spec| {
                         let sig = spec.signature();
                         reg_bit((sig.gpr_reads >= 1).then_some(c.rs))
@@ -149,47 +156,33 @@ fn build<'e>(
     (uops, metas)
 }
 
-/// Runs the micro-op engine until `halt` or `max_cycles`.
+/// Runs the micro-op engine until `halt` or `max_cycles`, streaming one
+/// [`InstRecord`] per retired instruction into `sink`, host time per
+/// [`Phase`] into `phases` and, with `COUNT`, retired executions of each
+/// static instruction into `counts` (indexed like `Program::text`).
 ///
-/// Fetch batching: the legacy interpreter performs one icache access per
-/// dynamic instruction. Here, consecutive fetches from the same line
-/// (with no other icache access in between) collapse into one. This is
-/// stats-identical: the skipped accesses are guaranteed hits (the line
-/// was just filled or touched, and nothing else entered its set since),
-/// so no miss counter fires, and the skipped LRU refresh cannot change
-/// any later victim choice because the line is already the most recently
-/// used way of its set. Uncached fetches never touch the icache, so they
-/// do not interrupt a same-line span.
-///
-/// # Errors
-///
-/// Same conditions (and byte-identical partial statistics) as the legacy
-/// [`Interp::run_legacy`].
-pub(crate) fn run<'a>(it: &mut Interp<'a>, max_cycles: u64) -> Result<RunResult, SimError> {
-    run_impl::<false>(it, max_cycles, &mut [])
-}
-
-/// Runs like [`run`] while counting retired executions of each static
-/// instruction into `counts` (indexed like `Program::text`). The counting
-/// arm is monomorphized separately, so the plain [`run`] hot path is
-/// unchanged.
+/// Fetch batching: consecutive fetches from the same icache line (with
+/// no other icache access in between) collapse into one cache access.
+/// This is exact: the skipped accesses are guaranteed hits (the line was
+/// just filled or touched, and nothing else entered its set since), so
+/// no miss counter fires, and the skipped LRU refresh cannot change any
+/// later victim choice because the line is already the most recently
+/// used way of its set. A batched fetch is therefore recorded as a hit.
+/// Uncached fetches never touch the icache, so they do not interrupt a
+/// same-line span.
 ///
 /// # Errors
 ///
-/// Same conditions as [`run`]; counts cover the instructions retired
-/// before the error fired.
-pub(crate) fn run_counting<'a>(
-    it: &mut Interp<'a>,
-    max_cycles: u64,
-    counts: &mut [u64],
-) -> Result<RunResult, SimError> {
-    run_impl::<true>(it, max_cycles, counts)
-}
-
+/// [`SimError::CycleLimit`] if the budget is exhausted, plus any
+/// execution error ([`SimError::InvalidPc`], [`SimError::Unaligned`],
+/// …). On error the statistics, state and counts cover the instructions
+/// retired before it, plus the fetch of the faulting one.
 #[allow(clippy::too_many_lines)] // one arm per opcode: flat is clearest
-fn run_impl<'a, const COUNT: bool>(
+pub(crate) fn run<'a, S: ActivitySink, P: PhaseRecorder, const COUNT: bool>(
     it: &mut Interp<'a>,
     max_cycles: u64,
+    sink: &mut S,
+    phases: &mut P,
     counts: &mut [u64],
 ) -> Result<RunResult, SimError> {
     let program: &'a Program = it.program;
@@ -227,8 +220,8 @@ fn run_impl<'a, const COUNT: bool>(
     let mut opcode_cycles = std::mem::take(&mut stats.opcode_cycles);
     let mut custom_counts = std::mem::take(&mut stats.custom_counts);
 
-    let mut haz: Option<(Reg, HazKind)> = *hazard;
-    let mut haz_mask: u32 = haz.map_or(0, |(r, _)| 1u32 << r.index());
+    let mut haz: Option<Reg> = *hazard;
+    let mut haz_mask: u32 = reg_bit(haz);
     let mut pc = state.pc();
     let mut last_line: u64 = u64::MAX;
 
@@ -259,7 +252,9 @@ fn run_impl<'a, const COUNT: bool>(
             return Err(SimError::CycleLimit(max_cycles));
         }
 
-        // ---- fetch + decode over the pre-decoded table ---------------------
+        // ---- decode: index the pre-decoded table ---------------------------
+        let mut clock = None;
+        lap(phases, Phase::Decode, &mut clock); // starts the lap clock
         let idx = if pc >= text_base && pc.is_multiple_of(layout::INST_BYTES) {
             let i = ((pc - text_base) / layout::INST_BYTES) as usize;
             (i < uops.len()).then_some(i)
@@ -267,8 +262,8 @@ fn run_impl<'a, const COUNT: bool>(
             None
         };
         let Some(idx) = idx else {
-            // The legacy path charges the fetch before discovering the
-            // bad pc; keep those counter bumps on the error path.
+            // The fetch is charged before the bad pc is discovered; keep
+            // those counter bumps on the error path.
             if layout::is_uncached(pc) {
                 ucf += 1;
             } else if !icache.access(pc, false).hit {
@@ -278,9 +273,13 @@ fn run_impl<'a, const COUNT: bool>(
             return Err(SimError::InvalidPc(pc));
         };
         let uop = &uops[idx];
+        lap(phases, Phase::Decode, &mut clock);
 
+        // ---- fetch ---------------------------------------------------------
         let mut penalty: u32 = 0;
-        if uop.line == UNCACHED_LINE {
+        let fetch_uncached = uop.line == UNCACHED_LINE;
+        let mut fetch_hit = !fetch_uncached;
+        if fetch_uncached {
             ucf += 1;
             penalty += ucf_pen;
         } else if u64::from(uop.line) != last_line {
@@ -288,14 +287,18 @@ fn run_impl<'a, const COUNT: bool>(
             if !icache.access(pc, false).hit {
                 icm += 1;
                 penalty += icm_pen;
+                fetch_hit = false;
             }
         }
+        lap(phases, Phase::Fetch, &mut clock);
 
         // ---- execute + per-kind accounting ---------------------------------
         let mut next_pc = pc.wrapping_add(layout::INST_BYTES);
         let mut halted = false;
 
-        match uop.inst {
+        // What the activity record needs: (kind, base cycles, stall
+        // cycles, operand buses, GPR writeback, data access).
+        let (kind, cost, stall, operand_a, operand_b, result, mem) = match uop.inst {
             Inst::Base(b) => {
                 use Opcode::*;
                 let rs = state.reg(b.rs);
@@ -303,13 +306,15 @@ fn run_impl<'a, const COUNT: bool>(
                 let imm = b.imm;
                 let mut class_idx = uop.class_taken as usize;
                 let mut cost = uop.cost_taken;
-                let mut haz_new: Option<(Reg, HazKind)> = None;
-                let mut mem_access: Option<(u32, bool)> = None;
+                let mut result: Option<(Reg, u32)> = None;
+                let mut mem_access: Option<(u32, u32, bool, u32)> = None;
+                let mut haz_new: Option<Reg> = None;
 
                 macro_rules! wr {
                     ($v:expr) => {{
                         let v: u32 = $v;
                         state.set_reg(b.rd, v);
+                        result = Some((b.rd, v));
                     }};
                 }
                 macro_rules! aligned {
@@ -363,23 +368,23 @@ fn run_impl<'a, const COUNT: bool>(
                     }
                     Mul => {
                         wr!(rs.wrapping_mul(rt));
-                        haz_new = Some((b.rd, HazKind::Mul));
+                        haz_new = Some(b.rd);
                     }
                     Mulh => {
                         wr!(((i64::from(rs as i32) * i64::from(rt as i32)) >> 32) as u32);
-                        haz_new = Some((b.rd, HazKind::Mul));
+                        haz_new = Some(b.rd);
                     }
                     Muluh => {
                         wr!(((u64::from(rs) * u64::from(rt)) >> 32) as u32);
-                        haz_new = Some((b.rd, HazKind::Mul));
+                        haz_new = Some(b.rd);
                     }
                     Mul16s => {
                         wr!((i32::from(rs as i16).wrapping_mul(i32::from(rt as i16))) as u32);
-                        haz_new = Some((b.rd, HazKind::Mul));
+                        haz_new = Some(b.rd);
                     }
                     Mul16u => {
                         wr!((rs & 0xffff).wrapping_mul(rt & 0xffff));
-                        haz_new = Some((b.rd, HazKind::Mul));
+                        haz_new = Some(b.rd);
                     }
                     Addi => wr!(rs.wrapping_add(imm as u32)),
                     Addmi => wr!(rs.wrapping_add((imm as u32) << 8)),
@@ -411,18 +416,18 @@ fn run_impl<'a, const COUNT: bool>(
                     Clz => wr!(rs.leading_zeros()),
                     Movi => wr!(imm as u32),
                     Nop => {}
-                    // --- loads -------------------------------------------
+                    // --- loads: the record carries the raw memory value ---
                     L8ui | L8si | L16ui | L16si | L32i => {
                         let addr = rs.wrapping_add(imm as u32);
-                        let raw = match b.op {
-                            L8ui | L8si => u32::from(state.mem.read_u8(addr)),
+                        let (size, raw) = match b.op {
+                            L8ui | L8si => (1, u32::from(state.mem.read_u8(addr))),
                             L16ui | L16si => {
                                 aligned!(addr, 2);
-                                u32::from(state.mem.read_u16(addr))
+                                (2, u32::from(state.mem.read_u16(addr)))
                             }
                             _ => {
                                 aligned!(addr, 4);
-                                state.mem.read_u32(addr)
+                                (4, state.mem.read_u32(addr))
                             }
                         };
                         let value = match b.op {
@@ -431,42 +436,45 @@ fn run_impl<'a, const COUNT: bool>(
                             _ => raw,
                         };
                         wr!(value);
-                        mem_access = Some((addr, false));
-                        haz_new = Some((b.rd, HazKind::Load));
+                        mem_access = Some((addr, size, false, raw));
+                        haz_new = Some(b.rd);
                     }
                     L32r => {
                         let addr = b.target;
                         aligned!(addr, 4);
-                        wr!(state.mem.read_u32(addr));
-                        mem_access = Some((addr, false));
-                        haz_new = Some((b.rd, HazKind::Load));
+                        let value = state.mem.read_u32(addr);
+                        wr!(value);
+                        mem_access = Some((addr, 4, false, value));
+                        haz_new = Some(b.rd);
                     }
-                    // --- stores ------------------------------------------
+                    // --- stores: the record carries the full rt value -----
                     S8i | S16i | S32i => {
                         let addr = rs.wrapping_add(imm as u32);
-                        match b.op {
-                            S8i => state.mem.write_u8(addr, rt as u8),
+                        let size = match b.op {
+                            S8i => {
+                                state.mem.write_u8(addr, rt as u8);
+                                1
+                            }
                             S16i => {
                                 aligned!(addr, 2);
                                 state.mem.write_u16(addr, rt as u16);
+                                2
                             }
                             _ => {
                                 aligned!(addr, 4);
                                 state.mem.write_u32(addr, rt);
+                                4
                             }
-                        }
-                        mem_access = Some((addr, true));
+                        };
+                        mem_access = Some((addr, size, true, rt));
                     }
                     // --- jumps -------------------------------------------
                     J => next_pc = b.target,
                     Jx => next_pc = rs,
-                    Call => {
+                    Call | Callx => {
                         state.set_reg(Reg::LINK, next_pc);
-                        next_pc = b.target;
-                    }
-                    Callx => {
-                        state.set_reg(Reg::LINK, next_pc);
-                        next_pc = rs;
+                        result = Some((Reg::LINK, next_pc));
+                        next_pc = if b.op == Call { b.target } else { rs };
                     }
                     Ret => next_pc = state.reg(Reg::LINK),
                     // --- branches ----------------------------------------
@@ -509,34 +517,55 @@ fn run_impl<'a, const COUNT: bool>(
                     }
                 }
 
+                // Interlock against the previous instruction's delayed result.
                 let stall = u32::from(uop.read_mask & haz_mask != 0);
                 ilk += u64::from(stall);
 
                 class_cycles[class_idx] += u64::from(cost);
                 class_counts[class_idx] += 1;
                 opcode_cycles[uop.op_idx as usize] += u64::from(cost);
+                lap(phases, Phase::Execute, &mut clock);
 
-                if let Some((addr, write)) = mem_access {
-                    if layout::is_uncached(addr) {
+                // ---- data memory -------------------------------------------
+                let mem = mem_access.map(|(addr, size, write, value)| {
+                    let uncached = layout::is_uncached(addr);
+                    let (hit, writeback) = if uncached {
                         dcm += 1;
                         penalty += ucf_pen;
-                    } else if !dcache.access(addr, write).hit {
-                        dcm += 1;
-                        penalty += dcm_pen;
+                        (false, false)
+                    } else {
+                        let acc = dcache.access(addr, write);
+                        if !acc.hit {
+                            dcm += 1;
+                            penalty += dcm_pen;
+                        }
+                        (acc.hit, acc.writeback)
+                    };
+                    MemAccess {
+                        addr,
+                        size,
+                        write,
+                        value,
+                        hit,
+                        writeback,
+                        uncached,
                     }
-                }
+                });
+                lap(phases, Phase::Memory, &mut clock);
 
                 haz = haz_new;
-                haz_mask = haz_new.map_or(0, |(r, _)| 1u32 << r.index());
+                haz_mask = reg_bit(haz);
                 total += u64::from(cost + stall + penalty);
+                let kind = InstKind::Base(DynClass::ALL[class_idx], b.op.exec_unit());
+                (kind, cost, stall, rs, rt, result, mem)
             }
             Inst::Custom(c) => {
                 let Some(meta) = metas.get(c.id.0 as usize) else {
                     flush!();
                     return Err(SimError::UnknownCustom(c.id));
                 };
-                let result = match crate::exec::execute_custom(state, meta.spec, &c) {
-                    Ok((_, _, result)) => result,
+                let (rs, rt, result) = match crate::exec::execute_custom(state, meta.spec, &c) {
+                    Ok(out) => out,
                     Err(e) => {
                         flush!();
                         return Err(e);
@@ -557,17 +586,59 @@ fn run_impl<'a, const COUNT: bool>(
                 for (acc, add) in struct_activations.iter_mut().zip(&meta.resource_counts) {
                     *acc += add;
                 }
+                lap(phases, Phase::Execute, &mut clock);
+                lap(phases, Phase::Memory, &mut clock);
 
-                haz = result.map(|(r, _)| (r, HazKind::Custom));
-                haz_mask = haz.map_or(0, |(r, _)| 1u32 << r.index());
+                haz = result.map(|(r, _)| r);
+                haz_mask = reg_bit(haz);
                 total += u64::from(meta.cost + stall + penalty);
+                let kind = InstKind::Custom(c.id);
+                (kind, meta.cost, stall, rs, rt, result, None)
             }
-        }
+        };
 
+        // ---- the activity record -------------------------------------------
+        insts += 1;
         if COUNT {
             counts[idx] += 1;
         }
-        insts += 1;
+        if S::ACTIVE {
+            let (flush_cycles, custom) = match kind {
+                // `saturating_sub`: a zero-cost branch/jump config (legal,
+                // if unusual) yields zero flush cycles, not an underflow.
+                InstKind::Base(..) => (cost.saturating_sub(1), None),
+                InstKind::Custom(id) => {
+                    let meta = &metas[id.0 as usize];
+                    let activity = CustomActivity {
+                        id,
+                        latency: meta.spec.latency(),
+                        uses_gpr: meta.uses_gpr,
+                        node_values: state.last_custom_nodes(),
+                    };
+                    (0, Some(activity))
+                }
+            };
+            sink.record(&InstRecord {
+                pc,
+                word: encode(&uop.inst),
+                inst: uop.inst,
+                kind,
+                operand_a,
+                operand_b,
+                result,
+                cycles: cost + stall + penalty,
+                stall_cycles: stall,
+                flush_cycles,
+                fetch_hit,
+                fetch_uncached,
+                mem,
+                custom,
+            });
+        }
+        lap(phases, Phase::Observe, &mut clock);
+        if P::ACTIVE {
+            phases.retire();
+        }
         pc = next_pc;
 
         if halted {

@@ -3,9 +3,38 @@
 
 use proptest::prelude::*;
 
+use emx_hwlib::{DfGraph, PrimOp};
 use emx_isa::asm::Assembler;
-use emx_sim::{Cache, CacheConfig, Interp, Memory, ProcConfig};
-use emx_tie::ExtensionSet;
+use emx_isa::DynClass;
+use emx_sim::{Cache, CacheConfig, ExecStats, Interp, Memory, ProcConfig};
+use emx_tie::{ExtensionBuilder, ExtensionSet, InputBind, OutputBind};
+
+/// One custom instruction, `cadd rd, rs, rt`, reading both GPR operands.
+fn cadd_ext() -> ExtensionSet {
+    let mut ext = ExtensionBuilder::new("cadd");
+    let mut g = DfGraph::new();
+    let a = g.input("a", 32);
+    let b = g.input("b", 32);
+    let sum = g.node(PrimOp::Add, 32, &[a, b]).expect("graph");
+    g.output(sum);
+    ext.instruction("cadd", g)
+        .expect("inst")
+        .bind_input(InputBind::GprS)
+        .expect("bind")
+        .bind_input(InputBind::GprT)
+        .expect("bind")
+        .bind_output(OutputBind::Gpr)
+        .expect("bind");
+    ext.build().expect("compiles")
+}
+
+fn run_stats(ext: &ExtensionSet, src: &str) -> ExecStats {
+    let mut asm = Assembler::new();
+    ext.register_mnemonics(&mut asm);
+    let program = asm.assemble(src).expect("assembles");
+    let mut sim = Interp::new(&program, ext, ProcConfig::default());
+    sim.run(1_000_000).expect("halts").stats
+}
 
 proptest! {
     #[test]
@@ -128,5 +157,49 @@ proptest! {
             + stats.interlocks
             + stats.custom_cycles;
         prop_assert_eq!(stats.total_cycles, expected);
+    }
+
+    #[test]
+    fn inserted_nops_count_as_arithmetic_only(
+        body in proptest::collection::vec((0u8..6, 2u8..=7, 2u8..=7, 2u8..=7), 1..32),
+        slots in proptest::collection::vec(0usize..64, 0..12),
+    ) {
+        // Metamorphic law: k `nop`s inserted anywhere in straight-line
+        // code raise the arithmetic class by exactly k instructions and
+        // k cycles, and leave every other class count and every custom
+        // count unchanged (interlocks and misses may move; classes not).
+        let mut lines: Vec<String> = body
+            .iter()
+            .map(|&(tag, d, s, t)| match tag {
+                0 => format!("add a{d}, a{s}, a{t}"),
+                1 => format!("mul a{d}, a{s}, a{t}"),
+                2 => format!("l32i a{d}, {}(a8)", 4 * s),
+                3 => format!("s32i a{s}, {}(a8)", 4 * t),
+                4 => format!("cadd a{d}, a{s}, a{t}"),
+                _ => format!("addi a{d}, a{s}, {t}"),
+            })
+            .collect();
+        let program = |lines: &[String]| {
+            format!(
+                ".data\nbuf: .space 64\n.text\nmovi a8, buf\n{}\nhalt\n",
+                lines.join("\n")
+            )
+        };
+        let ext = cadd_ext();
+        let before = run_stats(&ext, &program(&lines));
+        for &slot in &slots {
+            lines.insert(slot % (lines.len() + 1), "nop".to_owned());
+        }
+        let after = run_stats(&ext, &program(&lines));
+
+        let k = slots.len() as u64;
+        let arith = DynClass::Arithmetic;
+        prop_assert_eq!(after.count_of(arith), before.count_of(arith) + k);
+        prop_assert_eq!(after.cycles_of(arith), before.cycles_of(arith) + k);
+        for class in DynClass::ALL.into_iter().filter(|&c| c != arith) {
+            prop_assert_eq!(after.count_of(class), before.count_of(class));
+        }
+        prop_assert_eq!(&after.custom_counts, &before.custom_counts);
+        prop_assert_eq!(after.custom_cycles, before.custom_cycles);
     }
 }

@@ -16,7 +16,7 @@
 //! | [`isa`] | 32-bit base ISA (~80 instructions), programs, assembler |
 //! | [`hwlib`] | custom hardware primitive library (10 categories), dataflow graphs |
 //! | [`tie`] | custom-instruction (TIE-like) specs, compiler, extension sets |
-//! | [`sim`] | functional ISS + cycle-accounted pipeline simulator with caches |
+//! | [`sim`] | micro-op ISS with caches: statistics fast path and per-instruction pipeline activity stream |
 //! | [`rtlpower`] | RTL-level reference energy estimator (net-level integration) |
 //! | [`regress`] | dense least squares (QR + pseudo-inverse), fit statistics |
 //! | [`core`] | **the paper**: macro-model template, characterization, estimation |
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use emx_isa::asm::Assembler;
     pub use emx_isa::{Program, Reg};
     pub use emx_rtlpower::{Energy, RtlEnergyEstimator};
-    pub use emx_sim::{Interp, PipelineSim, ProcConfig};
+    pub use emx_sim::{Interp, ProcConfig};
     pub use emx_tie::{ExtensionBuilder, ExtensionSet, InputBind, OutputBind};
     pub use emx_workloads::Workload;
 }

@@ -542,6 +542,45 @@ fn instruction_semantics_match_the_corpus() {
     assert_matches_corpus(&semantics_cases());
 }
 
+/// Record-stream laws at suite scale: one record per retired
+/// instruction, and the per-record cycles, stalls and fetch misses add up
+/// to the run's statistics, on every committed workload.
+#[test]
+fn record_stream_adds_up_to_the_stats_on_every_committed_workload() {
+    for case in committed_cases() {
+        let w = &case.workload;
+        let (mut records, mut cycles, mut stalls) = (0u64, 0u64, 0u64);
+        let (mut misses, mut icache_misses, mut uncached) = (0u64, 0u64, 0u64);
+        let mut sink = |r: &InstRecord<'_>| {
+            records += 1;
+            cycles += u64::from(r.cycles);
+            stalls += u64::from(r.stall_cycles);
+            misses += u64::from(!r.fetch_hit);
+            icache_misses += u64::from(!r.fetch_hit && !r.fetch_uncached);
+            uncached += u64::from(r.fetch_uncached);
+        };
+        let mut sim = Interp::new(w.program(), w.ext(), ProcConfig::default());
+        let stats = sim
+            .run_with_sink(&mut sink, BUDGET)
+            .expect("committed workload halts")
+            .stats;
+        let id = &case.id;
+        assert_eq!(
+            records, stats.inst_count,
+            "{id}: one record per instruction"
+        );
+        assert_eq!(cycles, stats.total_cycles, "{id}: record cycles");
+        assert_eq!(stalls, stats.interlocks, "{id}: record stalls");
+        assert_eq!(
+            misses,
+            stats.icache_misses + stats.uncached_fetches,
+            "{id}: fetch misses"
+        );
+        assert_eq!(icache_misses, stats.icache_misses, "{id}: icache misses");
+        assert_eq!(uncached, stats.uncached_fetches, "{id}: uncached fetches");
+    }
+}
+
 /// Phase-counter neutrality at suite scale: enabling the phase profiler
 /// (which forces the instrumented path) must not change any statistic,
 /// and the profile must account for exactly the retired instructions.

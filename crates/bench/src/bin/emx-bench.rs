@@ -26,6 +26,7 @@ use emx_bench::compare::{self, DEFAULT_THRESHOLD_PCT};
 use emx_bench::harness::{Bench, BenchOptions};
 use emx_bench::report::{BenchReport, Environment, PhaseEntry};
 use emx_bench::suites;
+use emx_core::cli::{self, Args};
 use emx_core::EmxError;
 use emx_obs::Collector;
 use emx_sim::{Interp, ProcConfig};
@@ -44,7 +45,7 @@ const USAGE: &str = "usage: emx-bench [FILTER] [--list] [--samples <n>] \
                      [--compare <snapshot.json>] [--threshold <pct>] \
                      [--warn-only]";
 
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, EmxError> {
+fn parse_args(args: &mut Args) -> Result<Options, EmxError> {
     let mut options = Options {
         bench: BenchOptions::default(),
         json: None,
@@ -53,61 +54,26 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, EmxErro
         threshold_pct: DEFAULT_THRESHOLD_PCT,
         warn_only: false,
     };
-    let missing = |what: &str| EmxError::usage(format!("{what}\n{USAGE}"));
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--list" => options.bench.list = true,
             "--samples" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| missing("--samples needs a value"))?;
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| missing(&format!("--samples: `{value}` is not a number")))?;
+                let n: usize = args.number("a value")?;
                 if n < 2 {
-                    return Err(missing("--samples must be at least 2"));
+                    return Err(args.error("--samples must be at least 2"));
                 }
                 options.bench.samples = Some(n);
             }
-            "--json" => {
-                options.json = Some(args.next().ok_or_else(|| missing("--json needs a path"))?);
-            }
-            "--baseline" => {
-                options.baseline = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--baseline needs a path"))?,
-                );
-            }
-            "--compare" => {
-                options.compare = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--compare needs a path"))?,
-                );
-            }
-            "--threshold" => {
-                let value = args
-                    .next()
-                    .ok_or_else(|| missing("--threshold needs a value"))?;
-                options.threshold_pct = value
-                    .parse()
-                    .map_err(|_| missing(&format!("--threshold: `{value}` is not a number")))?;
-            }
+            "--json" => options.json = Some(args.value("a path")?),
+            "--baseline" => options.baseline = Some(args.value("a path")?),
+            "--compare" => options.compare = Some(args.value("a path")?),
+            "--threshold" => options.threshold_pct = args.number("a value")?,
             "--warn-only" => options.warn_only = true,
-            flag if flag.starts_with('-') => {
-                return Err(missing(&format!("unknown flag `{flag}`")));
-            }
-            positional => {
-                if options.bench.filter.is_some() {
-                    return Err(missing(&format!(
-                        "unexpected extra argument `{positional}`"
-                    )));
-                }
-                options.bench.filter = Some(positional.to_owned());
-            }
+            _ => args.positional(&mut options.bench.filter, arg)?,
         }
     }
     if options.compare.is_some() && options.baseline.is_none() {
-        return Err(missing("--compare requires --baseline"));
+        return Err(args.error("--compare requires --baseline"));
     }
     Ok(options)
 }
@@ -211,23 +177,9 @@ fn run(options: &Options) -> Result<ExitCode, EmxError> {
     }
 }
 
-// Exit-code contract (shared by all emx binaries): 2 = usage error,
-// 1 = bad input/data or failed regression gate, 3 = internal error.
+// A failed regression gate exits 1 through `run`'s own exit code.
 fn main() -> ExitCode {
-    let options = match parse_args(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("{}", e.message());
-            return ExitCode::from(e.exit_code());
-        }
-    };
-    match run(&options) {
-        Ok(code) => code,
-        Err(e) => {
-            eprintln!("emx-bench: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
+    cli::main("emx-bench", USAGE, parse_args, run)
 }
 
 #[cfg(test)]
@@ -235,7 +187,7 @@ mod tests {
     use super::*;
 
     fn opts(args: &[&str]) -> Result<Options, EmxError> {
-        parse_args(args.iter().map(|s| (*s).to_owned()))
+        parse_args(&mut Args::new(USAGE, args.iter().map(|s| (*s).to_owned())))
     }
 
     #[test]

@@ -161,3 +161,61 @@ fn snapshot_compare_and_gate_work_end_to_end() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("environment differs"), "{stderr}");
 }
+
+fn emx_figures(args: &[&str]) -> Command {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_emx-figures"));
+    command.args(args);
+    command
+}
+
+#[test]
+fn figures_usage_errors_exit_two() {
+    for args in [
+        &[][..],
+        &["no-such-figure"][..],
+        &["--help"][..],
+        &["table1", "extra"][..],
+        &["diagnostics", "--report"][..],
+        &["diagnostics", "--bogus"][..],
+    ] {
+        let out = emx_figures(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: emx-figures"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn figures_missing_report_is_an_input_error() {
+    let out = emx_figures(&["diagnostics", "--report", "/nonexistent/emx-report.json"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+}
+
+#[test]
+fn table1_prints_identical_bytes_on_two_runs() {
+    // Both runs at once: each characterizes the suite from scratch.
+    let runs: Vec<_> = (0..2)
+        .map(|_| {
+            emx_figures(&["table1"])
+                .stdout(std::process::Stdio::piped())
+                .spawn()
+                .expect("binary runs")
+        })
+        .collect();
+    let outputs: Vec<Output> = runs
+        .into_iter()
+        .map(|run| run.wait_with_output().expect("binary finishes"))
+        .collect();
+    for out in &outputs {
+        assert!(out.status.success());
+    }
+    let table = String::from_utf8(outputs[0].stdout.clone()).unwrap();
+    assert!(
+        table.starts_with("Table I — energy coefficients"),
+        "{table}"
+    );
+    assert!(table.contains("alpha_A"), "{table}");
+    assert_eq!(outputs[0].stdout, outputs[1].stdout);
+}

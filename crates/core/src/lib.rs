@@ -63,6 +63,7 @@
 #![warn(missing_docs)]
 
 mod characterize;
+pub mod cli;
 pub mod error;
 mod io;
 mod model;

@@ -77,7 +77,9 @@ pub struct SpanRecord {
 /// in every signature that pays it. A collector created with
 /// [`Collector::disabled`] turns every method into a no-op that never
 /// allocates, which is how the simulator hot loops stay free when
-/// tracing is off.
+/// tracing is off. One created with [`Collector::metrics_only`] keeps
+/// counters and histograms but no events, so a long-running process
+/// holds a bounded amount no matter how many spans it opens.
 ///
 /// # Example
 ///
@@ -101,6 +103,7 @@ pub struct SpanRecord {
 #[derive(Debug)]
 pub struct Collector {
     enabled: bool,
+    keep_events: bool,
     origin: Instant,
     events: Vec<Event>,
     counters: Vec<(Cow<'static, str>, f64)>,
@@ -112,6 +115,7 @@ impl Collector {
     pub fn new() -> Self {
         Collector {
             enabled: true,
+            keep_events: true,
             origin: Instant::now(),
             events: Vec::new(),
             counters: Vec::new(),
@@ -123,6 +127,17 @@ impl Collector {
     pub fn disabled() -> Self {
         Collector {
             enabled: false,
+            keep_events: false,
+            ..Self::new()
+        }
+    }
+
+    /// An enabled collector that records counters and histograms but
+    /// drops every event (spans, instants, samples): events cost memory
+    /// per event, counters and histograms only per distinct name.
+    pub fn metrics_only() -> Self {
+        Collector {
+            keep_events: false,
             ..Self::new()
         }
     }
@@ -145,7 +160,7 @@ impl Collector {
     /// Opens a span on an explicit track — [`Track::Worker`] lanes let
     /// parallel evaluators keep per-thread timelines in one trace.
     pub fn begin_on(&mut self, name: impl Into<Cow<'static, str>>, track: Track) -> SpanId {
-        if !self.enabled {
+        if !self.keep_events {
             return SpanId(usize::MAX);
         }
         let id = SpanId(self.events.len());
@@ -161,7 +176,7 @@ impl Collector {
     /// Closes a span opened with [`Collector::begin`] or
     /// [`Collector::begin_on`]; the End event lands on the same track.
     pub fn end(&mut self, span: SpanId) {
-        if !self.enabled {
+        if !self.keep_events {
             return;
         }
         let name = self.events[span.0].name.clone();
@@ -189,7 +204,7 @@ impl Collector {
 
     /// Records a point-in-time marker on the host track.
     pub fn instant(&mut self, name: impl Into<Cow<'static, str>>) {
-        if !self.enabled {
+        if !self.keep_events {
             return;
         }
         self.events.push(Event {
@@ -203,7 +218,7 @@ impl Collector {
     /// Records one time-series sample on the simulated-time track at an
     /// explicit timestamp (in cycles).
     pub fn sample_at(&mut self, name: impl Into<Cow<'static, str>>, ts_cycles: u64, value: f64) {
-        if !self.enabled {
+        if !self.keep_events {
             return;
         }
         self.events.push(Event {
@@ -271,11 +286,12 @@ impl Collector {
     /// A child collector sharing this collector's time origin, for use
     /// on another thread. Because `origin` is shared, timestamps from
     /// the child land on the same timeline when merged back with
-    /// [`Collector::absorb`]. A fork of a disabled collector is itself
-    /// disabled (and therefore free).
+    /// [`Collector::absorb`]. A fork of a disabled (or metrics-only)
+    /// collector is itself disabled (or metrics-only).
     pub fn fork(&self) -> Self {
         Collector {
             enabled: self.enabled,
+            keep_events: self.keep_events,
             origin: self.origin,
             events: Vec::new(),
             counters: Vec::new(),
@@ -289,7 +305,9 @@ impl Collector {
         if !self.enabled {
             return;
         }
-        self.events.extend(child.events);
+        if self.keep_events {
+            self.events.extend(child.events);
+        }
         for (name, value) in child.counters {
             self.add(name, value);
         }
@@ -468,6 +486,29 @@ mod tests {
         assert_eq!(parent.histogram("lat").unwrap().max(), 30);
         assert_eq!(parent.histogram("other").unwrap().count(), 1);
         assert_eq!(parent.spans().len(), 1);
+    }
+
+    #[test]
+    fn metrics_only_keeps_counts_but_no_events() {
+        let mut parent = Collector::metrics_only();
+        for _ in 0..3 {
+            let mut child = parent.fork();
+            let s = child.begin_on("request", Track::Request(0));
+            child.instant("mark");
+            child.sample_at("series", 0, 1.0);
+            child.end(s);
+            child.add("requests", 1.0);
+            child.record("latency_us", 5);
+            parent.absorb(child);
+        }
+        // Events of a child that kept them are dropped on absorb.
+        let mut traced = Collector::new();
+        traced.span("traced", |_| ());
+        parent.absorb(traced);
+        assert!(parent.is_enabled());
+        assert!(parent.events().is_empty());
+        assert_eq!(parent.counter("requests"), 3.0);
+        assert_eq!(parent.histogram("latency_us").unwrap().count(), 3);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use std::fmt;
 use std::io::{self, BufRead, Write};
+use std::time::{Duration, Instant};
 
 /// Framing limits, all enforced *before* buffering unbounded input.
 #[derive(Debug, Clone)]
@@ -18,11 +19,6 @@ pub struct Limits {
     pub max_head_bytes: usize,
     /// Maximum declared `Content-Length`.
     pub max_body_bytes: usize,
-    /// How many read-timeout windows to wait mid-request before calling
-    /// the request truncated. Timeouts *before* the first byte are
-    /// reported as [`FrameError::IdleTimeout`] instead, so a keep-alive
-    /// connection can sit idle indefinitely.
-    pub max_request_polls: u32,
 }
 
 impl Default for Limits {
@@ -30,7 +26,6 @@ impl Default for Limits {
         Limits {
             max_head_bytes: 16 * 1024,
             max_body_bytes: 1024 * 1024,
-            max_request_polls: 40,
         }
     }
 }
@@ -160,38 +155,45 @@ impl fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Reads exactly one byte, mapping timeouts and EOF to frame errors.
-/// `started` says whether this request already produced bytes — it
-/// selects between [`FrameError::IdleTimeout`]/[`FrameError::Closed`]
-/// (before the first byte) and [`FrameError::Truncated`] (after).
-fn read_byte(r: &mut impl BufRead, started: bool, polls_left: &mut u32) -> Result<u8, FrameError> {
+/// The request's next buffered bytes, read off the socket when the
+/// buffer is empty; never empty. `deadline` is `None` until the request
+/// produced its first byte, which starts the `budget` clock. It selects
+/// between [`FrameError::IdleTimeout`]/[`FrameError::Closed`] (before
+/// the first byte) and [`FrameError::Truncated`] (after, or once the
+/// deadline passed).
+fn fill<'r>(
+    r: &'r mut impl BufRead,
+    deadline: &mut Option<Instant>,
+    budget: Duration,
+) -> Result<&'r [u8], FrameError> {
     loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                return Err(if started {
-                    FrameError::Truncated
-                } else {
-                    FrameError::Closed
-                })
-            }
-            Ok(_) => return Ok(byte[0]),
+        let ready = match r.fill_buf() {
+            Ok([]) if deadline.is_some() => return Err(FrameError::Truncated),
+            Ok([]) => return Err(FrameError::Closed),
+            Ok(_) => true,
             Err(e)
                 if matches!(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                if !started {
+                if deadline.is_none() {
                     return Err(FrameError::IdleTimeout);
                 }
-                if *polls_left == 0 {
-                    return Err(FrameError::Truncated);
-                }
-                *polls_left -= 1;
+                false
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(FrameError::Io(e.kind())),
+        };
+        let now = Instant::now();
+        match *deadline {
+            Some(d) if now >= d => return Err(FrameError::Truncated),
+            Some(_) => {}
+            None => *deadline = Some(now + budget),
+        }
+        if ready {
+            // Bytes are buffered, so this returns them without a read.
+            return r.fill_buf().map_err(|e| FrameError::Io(e.kind()));
         }
     }
 }
@@ -201,27 +203,43 @@ fn read_byte(r: &mut impl BufRead, started: bool, polls_left: &mut u32) -> Resul
 /// The caller is expected to have set a read timeout on the underlying
 /// socket: timeouts on an idle connection come back as
 /// [`FrameError::IdleTimeout`] so a serving loop can poll its shutdown
-/// flag between requests.
+/// flag between requests. `budget` bounds the request in wall-clock
+/// time from its first byte: past it the request is
+/// [`FrameError::Truncated`], however slowly the client keeps sending,
+/// checked whenever a socket read returns.
 ///
 /// # Errors
 ///
 /// Any [`FrameError`]; see its variants for the status/code mapping.
-pub fn read_request(r: &mut impl BufRead, limits: &Limits) -> Result<Request, FrameError> {
+pub fn read_request(
+    r: &mut impl BufRead,
+    limits: &Limits,
+    budget: Duration,
+) -> Result<Request, FrameError> {
     let mut head: Vec<u8> = Vec::new();
-    let mut polls_left = limits.max_request_polls;
+    let mut deadline = None;
     loop {
-        let byte = read_byte(r, !head.is_empty(), &mut polls_left)?;
-        head.push(byte);
-        if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
+        let buf = fill(r, &mut deadline, budget)?;
+        let mut taken = 0;
+        let mut complete = false;
+        for &byte in buf {
+            head.push(byte);
+            taken += 1;
+            if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
+                complete = true;
+                break;
+            }
+            if head.len() > limits.max_head_bytes {
+                return Err(FrameError::HeadTooLarge {
+                    limit: limits.max_head_bytes,
+                });
+            }
+        }
+        r.consume(taken);
+        if complete {
             break;
         }
-        if head.len() > limits.max_head_bytes {
-            return Err(FrameError::HeadTooLarge {
-                limit: limits.max_head_bytes,
-            });
-        }
     }
-
     let head_text = String::from_utf8_lossy(&head);
     let mut lines = head_text.lines().filter(|l| !l.is_empty());
     let request_line = lines.next().unwrap_or_default().to_owned();
@@ -263,7 +281,10 @@ pub fn read_request(r: &mut impl BufRead, limits: &Limits) -> Result<Request, Fr
 
     let mut body = Vec::with_capacity(length);
     while body.len() < length {
-        body.push(read_byte(r, true, &mut polls_left)?);
+        let buf = fill(r, &mut deadline, budget)?;
+        let n = buf.len().min(length - body.len());
+        body.extend_from_slice(&buf[..n]);
+        r.consume(n);
     }
 
     Ok(Request {
@@ -318,8 +339,10 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
+    const BUDGET: Duration = Duration::from_secs(10);
+
     fn parse(bytes: &[u8]) -> Result<Request, FrameError> {
-        read_request(&mut BufReader::new(bytes), &Limits::default())
+        read_request(&mut BufReader::new(bytes), &Limits::default(), BUDGET)
     }
 
     #[test]
@@ -373,6 +396,7 @@ mod tests {
         let err = read_request(
             &mut BufReader::new(&b"POST /x HTTP/1.1\r\nContent-Length: 9\r\n\r\n123456789"[..]),
             &limits,
+            BUDGET,
         )
         .unwrap_err();
         assert_eq!(
@@ -393,9 +417,48 @@ mod tests {
             max_head_bytes: 32,
             ..Limits::default()
         };
-        let err = read_request(&mut BufReader::new(&bytes[..]), &limits).unwrap_err();
+        let err = read_request(&mut BufReader::new(&bytes[..]), &limits, BUDGET).unwrap_err();
         assert!(matches!(err, FrameError::HeadTooLarge { .. }));
         assert_eq!(err.status(), 431);
+    }
+
+    /// A client that sends one byte per read, `gap` apart: it never lets
+    /// a read time out, so only the wall-clock deadline can stop it.
+    struct Trickle<'a> {
+        bytes: &'a [u8],
+        gap: Duration,
+    }
+
+    impl std::io::Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            std::thread::sleep(self.gap);
+            let Some((&first, rest)) = self.bytes.split_first() else {
+                return Ok(0);
+            };
+            out[0] = first;
+            self.bytes = rest;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn a_trickling_client_is_truncated_at_the_deadline() {
+        let request = b"POST /v1/estimate HTTP/1.1\r\nContent-Length: 4\r\n\r\nabcd";
+        let slow = || {
+            BufReader::new(Trickle {
+                bytes: request,
+                gap: Duration::from_millis(2),
+            })
+        };
+
+        // Arriving takes ~110 ms, far past a 40 ms budget.
+        let short = Duration::from_millis(40);
+        let err = read_request(&mut slow(), &Limits::default(), short).unwrap_err();
+        assert_eq!(err, FrameError::Truncated);
+
+        // A 10 s budget lets the same client finish.
+        let req = read_request(&mut slow(), &Limits::default(), BUDGET).unwrap();
+        assert_eq!(req.body, b"abcd");
     }
 
     #[test]

@@ -89,11 +89,14 @@ fn worker(config: &LoadConfig, deadline: Instant, lane: usize) -> Result<WorkerO
 ///
 /// # Errors
 ///
-/// Unreachable server (input error) and worker thread loss (internal).
-/// Request-level failures are *not* errors here — they are counted in
-/// the report's `errors` field; the caller decides whether a nonzero
-/// count fails the run.
+/// An empty `apps` list (usage error), an unreachable server (input
+/// error) and worker thread loss (internal). Request-level failures are
+/// *not* errors here — they are counted in the report's `errors` field;
+/// the caller decides whether a nonzero count fails the run.
 pub fn run_load(config: &LoadConfig) -> Result<Value, EmxError> {
+    if config.apps.is_empty() {
+        return Err(EmxError::usage("the load needs at least one app"));
+    }
     let concurrency = config.concurrency.max(1);
     let started = Instant::now();
     let deadline = started + Duration::from_millis(config.duration_ms);
@@ -189,4 +192,20 @@ pub fn validate_report(report: &Value) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_empty_app_list_is_a_usage_error_not_a_panic() {
+        let config = LoadConfig {
+            addr: "127.0.0.1:9".to_owned(),
+            apps: Vec::new(),
+            ..LoadConfig::default()
+        };
+        let e = run_load(&config).unwrap_err();
+        assert_eq!(e.exit_code(), 2, "{e}");
+    }
 }

@@ -176,7 +176,13 @@ impl Server {
                 cache,
                 addr,
                 apps: emx_workloads::apps::all(),
-                obs: Arc::new(Mutex::new(Collector::new())),
+                // Span events are kept only for the Chrome trace: they
+                // grow with every request.
+                obs: Arc::new(Mutex::new(if config.chrome_trace.is_some() {
+                    Collector::new()
+                } else {
+                    Collector::metrics_only()
+                })),
                 shutdown: AtomicBool::new(false),
                 queue: Mutex::new(VecDeque::new()),
                 queue_cv: Condvar::new(),
@@ -277,11 +283,10 @@ fn resolve_workers(workers: usize) -> usize {
 /// hundred timed-out reads per second.
 const READ_POLL: Duration = Duration::from_millis(5);
 
-/// Scale factor holding the mid-request stall budget at its historical
-/// value: the previous 250 ms window × the default 40 polls gave a
-/// slow-but-live client ~10 s to finish a request, so the 50× shorter
-/// window gets 50× the polls.
-const POLL_SCALE: u32 = 50;
+/// Wall-clock budget for one request from its first byte: a slow but
+/// live client gets 10 s, and a client that trickles bytes to dodge the
+/// read timeout cannot pin its worker for longer.
+const REQUEST_BUDGET: Duration = Duration::from_secs(10);
 
 fn enqueue_connection(stream: TcpStream, shared: &Shared) {
     lock_recovering(&shared.obs).add("serve.connections", 1.0);
@@ -351,15 +356,10 @@ fn serve_connection(lane: u32, conn: Conn, shared: &Shared, batcher: &Batcher) -
         mut writer,
     } = conn;
 
-    // The mid-request truncation budget is `max_request_polls` ×
-    // window; scale the poll count to the short window so the budget
-    // stays ~10 s (see [`POLL_SCALE`]).
-    let mut limits = shared.config.limits.clone();
-    limits.max_request_polls = limits.max_request_polls.saturating_mul(POLL_SCALE);
     let _ = reader.get_ref().set_read_timeout(Some(READ_POLL));
 
     loop {
-        match http::read_request(&mut reader, &limits) {
+        match http::read_request(&mut reader, &shared.config.limits, REQUEST_BUDGET) {
             Ok(request) => {
                 let mut local = lock_recovering(&shared.obs).fork();
                 let span = local.begin_on(
@@ -655,6 +655,58 @@ fn initiate_shutdown(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs 2 × 10 estimates against a server and returns how many span
+    /// events its collector retained after each round of 10.
+    fn retained_events(chrome_trace: Option<String>) -> [usize; 2] {
+        let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../model.txt"))
+            .expect("committed model.txt at the repo root");
+        let model = EnergyMacroModel::from_text(&text).expect("parse committed model");
+        let config = ServeConfig {
+            characterize: CharacterizeMode::Calibration,
+            chrome_trace,
+            ..ServeConfig::default()
+        };
+        let server = Server::bind(model, config).expect("bind ephemeral port");
+        let shared = Arc::clone(&server.shared);
+        let addr = server.local_addr().to_string();
+        let handle = std::thread::spawn(move || server.run().expect("clean shutdown"));
+
+        let mut client = crate::HttpClient::new(addr.clone());
+        let mut retained = [0; 2];
+        for count in &mut retained {
+            for _ in 0..10 {
+                let (status, _) = client
+                    .post_json("/v1/estimate", &wire::estimate_request("gcd"))
+                    .expect("estimate");
+                assert_eq!(status, 200);
+            }
+            *count = lock_recovering(&shared.obs).events().len();
+        }
+        crate::request_once(&addr, "POST", "/v1/shutdown", None).expect("shutdown");
+        assert_eq!(handle.join().expect("server thread").requests, 21);
+        retained
+    }
+
+    #[test]
+    fn span_events_are_kept_only_for_a_chrome_trace() {
+        assert_eq!(retained_events(None), [0, 0]);
+
+        let path =
+            std::env::temp_dir().join(format!("emx-serve-trace-{}.json", std::process::id()));
+        let [first, second] = retained_events(Some(path.to_string_lossy().into_owned()));
+        assert!(first > 0 && second > first, "{first} then {second}");
+        let trace = std::fs::read_to_string(&path).expect("trace written at shutdown");
+        let _ = std::fs::remove_file(&path);
+        assert!(
+            trace.contains("\"POST /v1/estimate\""),
+            "request spans in the trace"
+        );
+        assert!(
+            trace.contains("\"request-0\""),
+            "request lanes in the trace"
+        );
+    }
 
     #[test]
     fn worker_resolution_caps_auto() {

@@ -13,7 +13,7 @@
 //! time per phase (ISS simulation, reference estimation, least-squares
 //! solve), the measured ISS-vs-reference speedup, and one entry per
 //! training case with its cycles, timings and signed fitting error —
-//! `emx-diagnostics` consumes it.
+//! `emx-figures diagnostics --report` consumes it.
 //!
 //! Before writing the model, the suite's design matrix is gated by the
 //! `emx-coverage` excitation analyzer: an ill-conditioned suite (a
@@ -25,6 +25,7 @@
 
 use std::process::ExitCode;
 
+use emx::core::cli::{self, Args};
 use emx::core::{Characterizer, EmxError, ErrorKind};
 use emx::coverage::{analyze, Thresholds};
 use emx::obs::Collector;
@@ -102,52 +103,28 @@ fn run(path: &str, report_path: Option<&str>, skip_coverage: bool) -> Result<(),
     Ok(())
 }
 
-fn parse_args(
-    mut args: impl Iterator<Item = String>,
-) -> Result<(String, Option<String>, bool), EmxError> {
+fn parse_args(args: &mut Args) -> Result<(String, Option<String>, bool), EmxError> {
     let mut model_path = None;
     let mut report_path = None;
     let mut skip_coverage = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--report" => {
-                report_path = Some(args.next().ok_or_else(|| {
-                    EmxError::usage(format!("--report needs a file path\n{USAGE}"))
-                })?);
-            }
+            "--report" => report_path = Some(args.value("a file path")?),
             "--skip-coverage-check" => skip_coverage = true,
-            "--help" | "-h" => return Err(EmxError::usage(USAGE)),
-            other if other.starts_with('-') => {
-                return Err(EmxError::usage(format!("unknown flag `{other}`")))
-            }
-            path if model_path.is_none() => model_path = Some(path.to_owned()),
-            extra => return Err(EmxError::usage(format!("unexpected argument `{extra}`"))),
+            _ => args.positional(&mut model_path, arg)?,
         }
     }
-    Ok((
-        model_path.ok_or_else(|| EmxError::usage(USAGE))?,
-        report_path,
-        skip_coverage,
-    ))
+    let model_path = model_path.ok_or_else(|| args.usage())?;
+    Ok((model_path, report_path, skip_coverage))
 }
 
-// Exit-code contract (shared by all emx binaries): 2 = usage error,
-// 1 = bad input/data, 3 = internal error or fatal worker failure.
 fn main() -> ExitCode {
-    let (path, report_path, skip_coverage) = match parse_args(std::env::args().skip(1)) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("{}", e.message());
-            return ExitCode::from(e.exit_code());
-        }
-    };
-    match run(&path, report_path.as_deref(), skip_coverage) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("emx-characterize: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
+    cli::main(
+        "emx-characterize",
+        USAGE,
+        parse_args,
+        |(path, report, skip)| run(path, report.as_deref(), *skip),
+    )
 }
 
 #[cfg(test)]
@@ -155,7 +132,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<(String, Option<String>, bool), EmxError> {
-        parse_args(args.iter().map(|s| (*s).to_owned()))
+        parse_args(&mut Args::new(USAGE, args.iter().map(|s| (*s).to_owned())))
     }
 
     #[test]

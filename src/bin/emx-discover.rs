@@ -21,6 +21,7 @@
 
 use std::process::ExitCode;
 
+use emx::core::cli::{self, Args};
 use emx::core::EmxError;
 use emx::discover::mine::MineConfig;
 use emx::discover::{discover, DiscoverConfig, DiscoverError};
@@ -38,8 +39,7 @@ struct Options {
 const USAGE: &str = "usage: emx-discover [--workload <name>] [--json <out.json>] \
                      [--jobs <n>] [--max-nodes <n>] [--max-cycles <n>] [--no-selfcheck]";
 
-fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, EmxError> {
-    let mut args = args.peekable();
+fn parse_args(args: &mut Args) -> Result<Options, EmxError> {
     let defaults = DiscoverConfig::default();
     let mut options = Options {
         workload: "rs1".to_owned(),
@@ -49,53 +49,25 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, EmxError> {
         max_cycles: defaults.max_cycles,
         selfcheck: true,
     };
-    let missing = |what: &str| EmxError::usage(format!("{what}\n{USAGE}"));
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--workload" => {
-                options.workload = args
-                    .next()
-                    .ok_or_else(|| missing("--workload needs a workload name"))?;
-            }
-            "--json" => {
-                options.json_path = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--json needs a file path"))?,
-                );
-            }
+            "--workload" => options.workload = args.value("a workload name")?,
+            "--json" => options.json_path = Some(args.value("a file path")?),
             "--jobs" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| missing("--jobs needs a number"))?;
-                options.jobs = n
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad job count `{n}`")))?;
+                options.jobs = args.number("a number")?;
                 if options.jobs == 0 {
-                    return Err(EmxError::usage("--jobs must be at least 1".to_owned()));
+                    return Err(args.error("--jobs must be at least 1"));
                 }
             }
             "--max-nodes" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| missing("--max-nodes needs a number"))?;
-                options.max_nodes = n
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad node count `{n}`")))?;
+                options.max_nodes = args.number("a number")?;
                 if options.max_nodes == 0 {
-                    return Err(EmxError::usage("--max-nodes must be at least 1".to_owned()));
+                    return Err(args.error("--max-nodes must be at least 1"));
                 }
             }
-            "--max-cycles" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| missing("--max-cycles needs a number"))?;
-                options.max_cycles = n
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad cycle budget `{n}`")))?;
-            }
+            "--max-cycles" => options.max_cycles = args.number("a number")?,
             "--no-selfcheck" => options.selfcheck = false,
-            "--help" | "-h" => return Err(EmxError::usage(USAGE)),
-            other => return Err(EmxError::usage(format!("unexpected argument `{other}`"))),
+            other => return Err(args.unexpected(other)),
         }
     }
     Ok(options)
@@ -180,23 +152,8 @@ fn run(options: &Options) -> Result<(), EmxError> {
     Ok(())
 }
 
-// Exit-code contract (shared by all emx binaries): 2 = usage error,
-// 1 = bad input/data, 3 = internal error or fatal worker failure.
 fn main() -> ExitCode {
-    let options = match parse_args(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("{}", e.message());
-            return ExitCode::from(e.exit_code());
-        }
-    };
-    match run(&options) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("emx-discover: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
+    cli::main("emx-discover", USAGE, parse_args, run)
 }
 
 #[cfg(test)]
@@ -204,7 +161,7 @@ mod tests {
     use super::*;
 
     fn opts(args: &[&str]) -> Result<Options, EmxError> {
-        parse_args(args.iter().map(|s| (*s).to_owned()))
+        parse_args(&mut Args::new(USAGE, args.iter().map(|s| (*s).to_owned())))
     }
 
     #[test]

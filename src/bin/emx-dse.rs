@@ -39,6 +39,7 @@
 
 use std::process::ExitCode;
 
+use emx::core::cli::{self, Args};
 use emx::core::{Characterizer, EmxError};
 use emx::dse::{self, CandidateSpace, EstimationCache, ShardSpec};
 use emx::obs::{ChromeTraceWriter, Collector};
@@ -68,8 +69,7 @@ const USAGE: &str = "usage: emx-dse [--workload <name>] [--budget <net-equivalen
                      | emx-dse --merge <shard.json>... [--json <out.json>] \
                      [--cache <file.json>]";
 
-fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, EmxError> {
-    let mut args = args.peekable();
+fn parse_args(args: &mut Args) -> Result<Options, EmxError> {
     let mut options = Options {
         workload: None,
         budget: None,
@@ -84,103 +84,48 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, EmxError> {
         candidates: None,
         top: 6,
     };
-    let missing = |what: &str| EmxError::usage(format!("{what}\n{USAGE}"));
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--workload" => {
-                options.workload = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--workload needs a space name"))?,
-                );
-            }
-            "--candidates" => {
-                options.candidates = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--candidates needs a report file"))?,
-                );
-            }
+            "--workload" => options.workload = Some(args.value("a space name")?),
+            "--candidates" => options.candidates = Some(args.value("a report file")?),
             "--top" => {
-                let n = args.next().ok_or_else(|| missing("--top needs a number"))?;
-                options.top = n
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad candidate count `{n}`")))?;
+                options.top = args.number("a number")?;
                 if options.top == 0 {
-                    return Err(EmxError::usage("--top must be at least 1".to_owned()));
+                    return Err(args.error("--top must be at least 1"));
                 }
             }
             "--budget" => {
-                let b = args
-                    .next()
-                    .ok_or_else(|| missing("--budget needs a number"))?;
-                let b: f64 = b
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad budget `{b}`")))?;
+                let b: f64 = args.number("a number")?;
                 if !b.is_finite() || b < 0.0 {
-                    return Err(EmxError::usage(format!(
+                    return Err(args.error(format_args!(
                         "budget must be finite and non-negative, got {b}"
                     )));
                 }
                 options.budget = Some(b);
             }
-            "--jobs" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| missing("--jobs needs a number"))?;
-                options.jobs = n
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad job count `{n}`")))?;
-            }
-            "--cache" => {
-                options.cache_path = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--cache needs a file path"))?,
-                );
-            }
-            "--model" => {
-                options.model_path = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--model needs a file path"))?,
-                );
-            }
-            "--json" => {
-                options.json_path = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--json needs a file path"))?,
-                );
-            }
-            "--chrome-trace" => {
-                options.chrome_trace = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--chrome-trace needs a file path"))?,
-                );
-            }
+            "--jobs" => options.jobs = args.number("a number")?,
+            "--cache" => options.cache_path = Some(args.value("a file path")?),
+            "--model" => options.model_path = Some(args.value("a file path")?),
+            "--json" => options.json_path = Some(args.value("a file path")?),
+            "--chrome-trace" => options.chrome_trace = Some(args.value("a file path")?),
             "--shard" => {
-                let s = args.next().ok_or_else(|| missing("--shard needs i/N"))?;
+                let s = args.value("i/N")?;
                 options.shard = Some(ShardSpec::parse(&s).map_err(|_| {
-                    EmxError::usage(format!("bad shard `{s}`: expected i/N with 1 <= i <= N"))
+                    args.error(format_args!(
+                        "bad shard `{s}`: expected i/N with 1 <= i <= N"
+                    ))
                 })?);
             }
-            "--emit-shard" => {
-                options.emit_shard = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--emit-shard needs a file path"))?,
-                );
-            }
+            "--emit-shard" => options.emit_shard = Some(args.value("a file path")?),
             "--merge" => {
                 // Greedy: every following non-flag argument is a shard
                 // report file.
-                while let Some(next) = args.peek() {
-                    if next.starts_with("--") {
-                        break;
-                    }
-                    options.merge.push(args.next().unwrap_or_default());
-                }
+                options.merge.extend(args.operands());
                 if options.merge.is_empty() {
-                    return Err(missing("--merge needs at least one shard report file"));
+                    return Err(args.error("--merge needs at least one shard report file"));
                 }
             }
-            "--help" | "-h" => return Err(EmxError::usage(USAGE)),
-            other => return Err(EmxError::usage(format!("unexpected argument `{other}`"))),
+            other => return Err(args.unexpected(other)),
         }
     }
     if !options.merge.is_empty()
@@ -190,15 +135,13 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, EmxError> {
             || options.budget.is_some()
             || options.candidates.is_some())
     {
-        return Err(EmxError::usage(format!(
+        return Err(args.error(
             "--merge cannot be combined with --shard, --emit-shard, --model, --budget or \
-             --candidates\n{USAGE}"
-        )));
+             --candidates",
+        ));
     }
     if options.candidates.is_some() && options.workload.is_some() {
-        return Err(EmxError::usage(format!(
-            "--candidates names its own workload; drop --workload\n{USAGE}"
-        )));
+        return Err(args.error("--candidates names its own workload; drop --workload"));
     }
     Ok(options)
 }
@@ -413,23 +356,8 @@ fn run(options: &Options) -> Result<(), EmxError> {
     Ok(())
 }
 
-// Exit-code contract (shared by all emx binaries): 2 = usage error,
-// 1 = bad input/data, 3 = internal error or fatal worker failure.
 fn main() -> ExitCode {
-    let options = match parse_args(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("{}", e.message());
-            return ExitCode::from(e.exit_code());
-        }
-    };
-    match run(&options) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("emx-dse: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
+    cli::main("emx-dse", USAGE, parse_args, run)
 }
 
 #[cfg(test)]
@@ -437,7 +365,7 @@ mod tests {
     use super::*;
 
     fn opts(args: &[&str]) -> Result<Options, EmxError> {
-        parse_args(args.iter().map(|s| (*s).to_owned()))
+        parse_args(&mut Args::new(USAGE, args.iter().map(|s| (*s).to_owned())))
     }
 
     #[test]

@@ -17,6 +17,7 @@
 
 use std::process::ExitCode;
 
+use emx::core::cli::{self, Args};
 use emx::core::EmxError;
 use emx::obs::json::Value;
 use emx::serve::{run_load, LoadConfig};
@@ -30,51 +31,28 @@ const USAGE: &str = "usage: emx-load --addr <host:port> [--concurrency <n>] \
                      [--duration-ms <n>] [--app <name>]... [--json <out.json>] \
                      [--shutdown]";
 
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, EmxError> {
+fn parse_args(args: &mut Args) -> Result<Options, EmxError> {
     let mut addr = None;
     let mut config = LoadConfig::default();
     let mut apps: Vec<String> = vec![];
     let mut json_out = None;
-    let missing = |what: &str| EmxError::usage(format!("{what}\n{USAGE}"));
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--addr" => {
-                addr = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--addr needs host:port"))?,
-                );
-            }
+            "--addr" => addr = Some(args.value("host:port")?),
             "--concurrency" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| missing("--concurrency needs a count"))?;
-                config.concurrency = v
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad --concurrency value `{v}`")))?;
+                config.concurrency = args.number("a count")?;
                 if config.concurrency == 0 {
-                    return Err(EmxError::usage("--concurrency must be nonzero"));
+                    return Err(args.error("--concurrency must be nonzero"));
                 }
             }
-            "--duration-ms" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| missing("--duration-ms needs a count"))?;
-                config.duration_ms = v
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad --duration-ms value `{v}`")))?;
-            }
-            "--app" => {
-                apps.push(args.next().ok_or_else(|| missing("--app needs a name"))?);
-            }
-            "--json" => {
-                json_out = Some(args.next().ok_or_else(|| missing("--json needs a path"))?);
-            }
+            "--duration-ms" => config.duration_ms = args.number("a count")?,
+            "--app" => apps.push(args.value("a name")?),
+            "--json" => json_out = Some(args.value("a path")?),
             "--shutdown" => config.shutdown_after = true,
-            "--help" | "-h" => return Err(EmxError::usage(USAGE)),
-            other => return Err(EmxError::usage(format!("unexpected argument `{other}`"))),
+            other => return Err(args.unexpected(other)),
         }
     }
-    config.addr = addr.ok_or_else(|| missing("--addr is required"))?;
+    config.addr = addr.ok_or_else(|| args.error("--addr is required"))?;
     if !apps.is_empty() {
         config.apps = apps;
     }
@@ -102,23 +80,8 @@ fn run(options: &Options) -> Result<(), EmxError> {
     Ok(())
 }
 
-// Exit-code contract (shared by all emx binaries): 2 = usage error,
-// 1 = bad input or failed requests, 3 = internal error.
 fn main() -> ExitCode {
-    let options = match parse_args(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("{}", e.message());
-            return ExitCode::from(e.exit_code());
-        }
-    };
-    match run(&options) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("emx-load: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
+    cli::main("emx-load", USAGE, parse_args, run)
 }
 
 #[cfg(test)]
@@ -126,7 +89,7 @@ mod tests {
     use super::*;
 
     fn opts(args: &[&str]) -> Result<Options, EmxError> {
-        parse_args(args.iter().map(|s| (*s).to_owned()))
+        parse_args(&mut Args::new(USAGE, args.iter().map(|s| (*s).to_owned())))
     }
 
     #[test]

@@ -24,6 +24,7 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
+use emx::core::cli::{self, Args};
 use emx::core::EmxError;
 use emx::obs::{ChromeTraceWriter, Collector};
 use emx::prelude::*;
@@ -50,7 +51,7 @@ const USAGE: &str = "usage: emx-run <program.s> [--tie <ext.tie>] [--energy] \
                      [--stats-json <out.json>] [--chrome-trace <out.json>] \
                      [--max-cycles <n>]";
 
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, EmxError> {
+fn parse_args(args: &mut Args) -> Result<Options, EmxError> {
     let mut program_path = None;
     let mut options = Options {
         program_path: String::new(),
@@ -64,65 +65,27 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, EmxErro
         chrome_trace: None,
         max_cycles: 1_000_000_000,
     };
-    let missing = |what: &str| EmxError::usage(format!("{what}\n{USAGE}"));
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--tie" => {
-                options.tie_path = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--tie needs a file path"))?,
-                );
-            }
-            "--model" => {
-                options.model_path = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--model needs a file path"))?,
-                );
-            }
+            "--tie" => options.tie_path = Some(args.value("a file path")?),
+            "--model" => options.model_path = Some(args.value("a file path")?),
             "--energy" => options.energy = true,
             "--disasm" => options.disasm = true,
             "--trace" => options.trace = true,
-            "--stats-json" => {
-                options.stats_json = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--stats-json needs a file path"))?,
-                );
-            }
-            "--chrome-trace" => {
-                options.chrome_trace = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--chrome-trace needs a file path"))?,
-                );
-            }
+            "--stats-json" => options.stats_json = Some(args.value("a file path")?),
+            "--chrome-trace" => options.chrome_trace = Some(args.value("a file path")?),
             "--profile" => {
-                let w = args
-                    .next()
-                    .ok_or_else(|| missing("--profile needs a window size"))?;
-                let w: u64 = w
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad window size `{w}`")))?;
+                let w: u64 = args.number("a window size")?;
                 if w == 0 {
-                    return Err(EmxError::usage("window size must be nonzero"));
+                    return Err(args.error("window size must be nonzero"));
                 }
                 options.profile = Some(w);
             }
-            "--max-cycles" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| missing("--max-cycles needs a number"))?;
-                options.max_cycles = n
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad cycle count `{n}`")))?;
-            }
-            "--help" | "-h" => return Err(EmxError::usage(USAGE)),
-            other if other.starts_with('-') => {
-                return Err(EmxError::usage(format!("unknown flag `{other}`")))
-            }
-            path if program_path.is_none() => program_path = Some(path.to_owned()),
-            extra => return Err(EmxError::usage(format!("unexpected argument `{extra}`"))),
+            "--max-cycles" => options.max_cycles = args.number("a number")?,
+            _ => args.positional(&mut program_path, arg)?,
         }
     }
-    options.program_path = program_path.ok_or_else(|| EmxError::usage(USAGE))?;
+    options.program_path = program_path.ok_or_else(|| args.usage())?;
     Ok(options)
 }
 
@@ -314,23 +277,8 @@ fn run(options: &Options) -> Result<(), EmxError> {
     Ok(())
 }
 
-// Exit-code contract (shared by all emx binaries): 2 = usage error,
-// 1 = bad input/data, 3 = internal error or fatal worker failure.
 fn main() -> ExitCode {
-    let options = match parse_args(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("{}", e.message());
-            return ExitCode::from(e.exit_code());
-        }
-    };
-    match run(&options) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("emx-run: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
+    cli::main("emx-run", USAGE, parse_args, run)
 }
 
 #[cfg(test)]
@@ -338,7 +286,7 @@ mod tests {
     use super::*;
 
     fn opts(args: &[&str]) -> Result<Options, EmxError> {
-        parse_args(args.iter().map(|s| (*s).to_owned()))
+        parse_args(&mut Args::new(USAGE, args.iter().map(|s| (*s).to_owned())))
     }
 
     #[test]

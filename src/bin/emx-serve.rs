@@ -18,6 +18,7 @@
 
 use std::process::ExitCode;
 
+use emx::core::cli::{self, Args};
 use emx::core::EmxError;
 use emx::serve::{CharacterizeMode, ServeConfig, Server};
 
@@ -40,7 +41,7 @@ const USAGE: &str = "usage: emx-serve [--addr <host:port>] [--model <model.txt>]
                      [--addr-file <path>] [--chrome-trace <out.json>] \
                      [--calibration-suite]";
 
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, EmxError> {
+fn parse_args(args: &mut Args) -> Result<Options, EmxError> {
     let mut options = Options {
         addr: "127.0.0.1:8392".to_owned(),
         model_path: "model.txt".to_owned(),
@@ -53,70 +54,24 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, EmxErro
         chrome_trace: None,
         calibration_suite: false,
     };
-    let missing = |what: &str| EmxError::usage(format!("{what}\n{USAGE}"));
-    let number = |flag: &str, value: String| -> Result<usize, EmxError> {
-        value
-            .parse()
-            .map_err(|_| EmxError::usage(format!("bad {flag} value `{value}`")))
-    };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--addr" => {
-                options.addr = args
-                    .next()
-                    .ok_or_else(|| missing("--addr needs host:port"))?;
-            }
-            "--model" => {
-                options.model_path = args
-                    .next()
-                    .ok_or_else(|| missing("--model needs a file path"))?;
-            }
-            "--cache" => {
-                options.cache_path = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--cache needs a file path"))?,
-                );
-            }
-            "--addr-file" => {
-                options.addr_file = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--addr-file needs a file path"))?,
-                );
-            }
-            "--chrome-trace" => {
-                options.chrome_trace = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--chrome-trace needs a file path"))?,
-                );
-            }
-            "--workers" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| missing("--workers needs a count"))?;
-                options.workers = number("--workers", v)?;
-            }
-            "--jobs" => {
-                let v = args.next().ok_or_else(|| missing("--jobs needs a count"))?;
-                options.jobs = number("--jobs", v)?;
-            }
+            "--addr" => options.addr = args.value("host:port")?,
+            "--model" => options.model_path = args.value("a file path")?,
+            "--cache" => options.cache_path = Some(args.value("a file path")?),
+            "--addr-file" => options.addr_file = Some(args.value("a file path")?),
+            "--chrome-trace" => options.chrome_trace = Some(args.value("a file path")?),
+            "--workers" => options.workers = args.number("a count")?,
+            "--jobs" => options.jobs = args.number("a count")?,
             "--queue-depth" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| missing("--queue-depth needs a count"))?;
-                options.queue_depth = number("--queue-depth", v)?;
+                options.queue_depth = args.number("a count")?;
                 if options.queue_depth == 0 {
-                    return Err(EmxError::usage("--queue-depth must be nonzero"));
+                    return Err(args.error("--queue-depth must be nonzero"));
                 }
             }
-            "--max-body-bytes" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| missing("--max-body-bytes needs a count"))?;
-                options.max_body_bytes = number("--max-body-bytes", v)?;
-            }
+            "--max-body-bytes" => options.max_body_bytes = args.number("a count")?,
             "--calibration-suite" => options.calibration_suite = true,
-            "--help" | "-h" => return Err(EmxError::usage(USAGE)),
-            other => return Err(EmxError::usage(format!("unexpected argument `{other}`"))),
+            other => return Err(args.unexpected(other)),
         }
     }
     Ok(options)
@@ -165,23 +120,8 @@ fn run(options: &Options) -> Result<(), EmxError> {
     Ok(())
 }
 
-// Exit-code contract (shared by all emx binaries): 2 = usage error,
-// 1 = bad input/data, 3 = internal error or fatal worker failure.
 fn main() -> ExitCode {
-    let options = match parse_args(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("{}", e.message());
-            return ExitCode::from(e.exit_code());
-        }
-    };
-    match run(&options) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("emx-serve: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
+    cli::main("emx-serve", USAGE, parse_args, run)
 }
 
 #[cfg(test)]
@@ -189,7 +129,7 @@ mod tests {
     use super::*;
 
     fn opts(args: &[&str]) -> Result<Options, EmxError> {
-        parse_args(args.iter().map(|s| (*s).to_owned()))
+        parse_args(&mut Args::new(USAGE, args.iter().map(|s| (*s).to_owned())))
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use std::process::ExitCode;
 
+use emx::core::cli::{self, Args};
 use emx::core::{Characterizer, EmxError, EnergyMacroModel, ErrorKind};
 use emx::coverage::{self, Thresholds};
 use emx::obs::{ChromeTraceWriter, Collector};
@@ -53,7 +54,7 @@ const USAGE: &str = "usage: emx-validate [--folds <k|loo>] [--fuzz <n>] [--seed 
                      [--coverage] [--coverage-json <out.json>] \
                      [--chrome-trace <out.json>] [--skip-cache-check]";
 
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, EmxError> {
+fn parse_args(args: &mut Args) -> Result<Options, EmxError> {
     let defaults = FuzzConfig::default();
     let mut options = Options {
         scheme: FoldScheme::LeaveOneOut,
@@ -70,115 +71,57 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, EmxErro
         coverage: false,
         coverage_json: None,
     };
-    let missing = |what: &str| EmxError::usage(format!("{what}\n{USAGE}"));
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--folds" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| missing("--folds needs `loo` or a fold count"))?;
+                let v = args.value("`loo` or a fold count")?;
                 options.scheme = if v == "loo" {
                     FoldScheme::LeaveOneOut
                 } else {
                     let k: usize = v
                         .parse()
-                        .map_err(|_| EmxError::usage(format!("bad fold count `{v}`")))?;
+                        .map_err(|_| args.error(format_args!("bad --folds value `{v}`")))?;
                     if k < 2 {
-                        return Err(EmxError::usage(format!(
-                            "fold count must be at least 2, got {k}"
-                        )));
+                        return Err(
+                            args.error(format_args!("fold count must be at least 2, got {k}"))
+                        );
                     }
                     FoldScheme::KFold(k)
                 };
             }
-            "--fuzz" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| missing("--fuzz needs a case count (0 disables)"))?;
-                options.fuzz_cases = n
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad fuzz case count `{n}`")))?;
-            }
-            "--seed" => {
-                let s = args
-                    .next()
-                    .ok_or_else(|| missing("--seed needs a number"))?;
-                options.seed = s
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad seed `{s}`")))?;
-            }
+            "--fuzz" => options.fuzz_cases = args.number("a case count (0 disables)")?,
+            "--seed" => options.seed = args.number("a number")?,
             "--tolerance" => {
-                let t = args
-                    .next()
-                    .ok_or_else(|| missing("--tolerance needs a percentage"))?;
-                let t: f64 = t
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad tolerance `{t}`")))?;
+                let t: f64 = args.number("a percentage")?;
                 if !t.is_finite() || t <= 0.0 {
-                    return Err(EmxError::usage(format!(
+                    return Err(args.error(format_args!(
                         "tolerance must be finite and positive, got {t}"
                     )));
                 }
                 options.tolerance = t;
             }
-            "--jobs" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| missing("--jobs needs a number"))?;
-                options.jobs = n
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad job count `{n}`")))?;
-            }
-            "--model" => {
-                options.model_path = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--model needs a file path"))?,
-                );
-            }
-            "--json" => {
-                options.json_path = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--json needs a file path"))?,
-                );
-            }
-            "--check" => {
-                options.check_path = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--check needs a golden report path"))?,
-                );
-            }
+            "--jobs" => options.jobs = args.number("a number")?,
+            "--model" => options.model_path = Some(args.value("a file path")?),
+            "--json" => options.json_path = Some(args.value("a file path")?),
+            "--check" => options.check_path = Some(args.value("a golden report path")?),
             "--epsilon" => {
-                let e = args
-                    .next()
-                    .ok_or_else(|| missing("--epsilon needs a number"))?;
-                let e: f64 = e
-                    .parse()
-                    .map_err(|_| EmxError::usage(format!("bad epsilon `{e}`")))?;
+                let e: f64 = args.number("a number")?;
                 if !e.is_finite() || e < 0.0 {
-                    return Err(EmxError::usage(format!(
+                    return Err(args.error(format_args!(
                         "epsilon must be finite and non-negative, got {e}"
                     )));
                 }
                 options.epsilon = e;
             }
-            "--chrome-trace" => {
-                options.chrome_trace = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--chrome-trace needs a file path"))?,
-                );
-            }
+            "--chrome-trace" => options.chrome_trace = Some(args.value("a file path")?),
             "--skip-cache-check" => options.skip_cache_check = true,
             "--coverage" => options.coverage = true,
             "--coverage-json" => {
                 // Writing the report implies running the analysis.
                 options.coverage = true;
-                options.coverage_json = Some(
-                    args.next()
-                        .ok_or_else(|| missing("--coverage-json needs a file path"))?,
-                );
+                options.coverage_json = Some(args.value("a file path")?);
             }
-            "--help" | "-h" => return Err(EmxError::usage(USAGE)),
-            other => return Err(EmxError::usage(format!("unexpected argument `{other}`"))),
+            other => return Err(args.unexpected(other)),
         }
     }
     Ok(options)
@@ -434,23 +377,8 @@ fn run(options: &Options) -> Result<(), EmxError> {
     Ok(())
 }
 
-// Exit-code contract (shared by all emx binaries): 2 = usage error,
-// 1 = bad input/data (including a failed gate), 3 = internal error.
 fn main() -> ExitCode {
-    let options = match parse_args(std::env::args().skip(1)) {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("{}", e.message());
-            return ExitCode::from(e.exit_code());
-        }
-    };
-    match run(&options) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("emx-validate: {e}");
-            ExitCode::from(e.exit_code())
-        }
-    }
+    cli::main("emx-validate", USAGE, parse_args, run)
 }
 
 #[cfg(test)]
@@ -458,7 +386,7 @@ mod tests {
     use super::*;
 
     fn opts(args: &[&str]) -> Result<Options, EmxError> {
-        parse_args(args.iter().map(|s| (*s).to_owned()))
+        parse_args(&mut Args::new(USAGE, args.iter().map(|s| (*s).to_owned())))
     }
 
     #[test]

@@ -198,6 +198,28 @@ fn every_cli_honors_the_shared_exit_code_contract() {
     }
 }
 
+/// `--help` and an unknown flag are usage errors on every CLI: each one
+/// reads its command line through the shared `emx_core::cli` layer.
+#[test]
+fn help_and_unknown_flags_exit_two_on_every_cli() {
+    for bin in [
+        env!("CARGO_BIN_EXE_emx-run"),
+        env!("CARGO_BIN_EXE_emx-characterize"),
+        env!("CARGO_BIN_EXE_emx-dse"),
+        env!("CARGO_BIN_EXE_emx-discover"),
+        env!("CARGO_BIN_EXE_emx-validate"),
+        env!("CARGO_BIN_EXE_emx-serve"),
+        env!("CARGO_BIN_EXE_emx-load"),
+    ] {
+        for arg in ["--help", "--no-such-flag"] {
+            let out = Command::new(bin).arg(arg).output().expect("spawns");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{bin} {arg}: {stderr}");
+            assert!(stderr.contains("usage: emx-"), "{bin} {arg}: {stderr}");
+        }
+    }
+}
+
 /// A minimal but complete `emx.dse-shard-report/1` document: empty rows,
 /// empty cache delta — enough to parse, so the *merge* check under test
 /// is the one that fires.

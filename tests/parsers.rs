@@ -270,7 +270,8 @@ fn readers() -> Vec<Reader> {
             )
             .into_bytes(),
             read: |b| {
-                let request = read_request(&mut Cursor::new(b), &Limits::default())
+                let budget = std::time::Duration::from_secs(10);
+                let request = read_request(&mut Cursor::new(b), &Limits::default(), budget)
                     .map_err(|e| e.to_string())?;
                 wire::parse_request(&request.body)
                     .map(drop)

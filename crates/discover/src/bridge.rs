@@ -31,14 +31,15 @@
 //! functional verification (see `rejected_check` in the funnel).
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
-use emx_dse::{CandidateSpace, DesignOption, MAX_OPTIONS};
+use emx_dse::{CandidateSpace, DesignOption, Selection, MAX_OPTIONS};
 use emx_isa::{layout, CustomSlot, Format, Inst, Program, Reg};
 use emx_tie::lang::parse_extension;
 use emx_tie::ExtensionSet;
 use emx_workloads::Workload;
 
-use crate::report::{Candidate, Report};
+use crate::report::{Candidate, Report, Site};
 
 /// Does this base-instruction format carry a *code* target that must be
 /// remapped when instructions are deleted? (`l32r`'s target is a data
@@ -79,21 +80,24 @@ pub fn apply(base: &Workload, picked: &[&Candidate]) -> Result<Workload, String>
     rewrite(base, &parsed)
 }
 
-/// [`apply`] over candidates whose TIE sources are already parsed: each
-/// candidate comes with its compiled extension set.
-fn rewrite(base: &Workload, picked: &[(&Candidate, &ExtensionSet)]) -> Result<Workload, String> {
-    let program = base.program();
-    let text = program.text();
-    let n = text.len();
-
-    // Greedy non-overlapping site claiming, in the given order.
-    let mut occupied = vec![false; n];
-    let mut applications: Vec<(usize, &crate::report::Site)> = Vec::new();
-    for (ci, (cand, _)) in picked.iter().enumerate() {
+/// Greedy non-overlapping site claiming over a `len`-instruction
+/// program: walks the tagged candidates in order and claims every site
+/// none of whose members an earlier claim took. Returns each claimed
+/// site with its candidate's tag. [`rewrite`] applies exactly these
+/// sites, and a discovered space's dominance key is the set of
+/// candidates that claim at least one, so the two cannot disagree about
+/// which sites apply.
+fn claim<'c>(
+    len: usize,
+    picked: impl IntoIterator<Item = (usize, &'c Candidate)>,
+) -> Result<Vec<(usize, &'c Site)>, String> {
+    let mut occupied = vec![false; len];
+    let mut claims = Vec::new();
+    for (tag, cand) in picked {
         for site in &cand.sites {
-            if site.members.is_empty() || site.members.iter().any(|&m| m >= n) {
+            if site.members.is_empty() || site.members.iter().any(|&m| m >= len) {
                 return Err(format!(
-                    "candidate `{}` has a site outside the {n}-instruction program",
+                    "candidate `{}` has a site outside the {len}-instruction program",
                     cand.name
                 ));
             }
@@ -103,15 +107,26 @@ fn rewrite(base: &Workload, picked: &[(&Candidate, &ExtensionSet)]) -> Result<Wo
             for &m in &site.members {
                 occupied[m] = true;
             }
-            applications.push((ci, site));
+            claims.push((tag, site));
         }
     }
+    Ok(claims)
+}
+
+/// [`apply`] over candidates whose TIE sources are already parsed: each
+/// candidate comes with its compiled extension set.
+fn rewrite(base: &Workload, picked: &[(&Candidate, &ExtensionSet)]) -> Result<Workload, String> {
+    let program = base.program();
+    let text = program.text();
+    let n = text.len();
+
+    let applications = claim(n, picked.iter().map(|&(cand, _)| cand).enumerate())?;
     if applications.is_empty() {
         return Ok(base.clone());
     }
 
     let mut keep = vec![true; n];
-    let mut anchor_of: BTreeMap<usize, (usize, &crate::report::Site)> = BTreeMap::new();
+    let mut anchor_of: BTreeMap<usize, (usize, &Site)> = BTreeMap::new();
     for &(ci, site) in &applications {
         let (anchor, elided) = site.members.split_last().expect("sites are non-empty");
         for &m in elided {
@@ -256,7 +271,11 @@ fn rewrite(base: &Workload, picked: &[(&Candidate, &ExtensionSet)]) -> Result<Wo
 /// at [`MAX_OPTIONS`]), each parsed once into its option's extension set;
 /// its resolver rewrites the base workload with exactly the selected
 /// subset, claiming sites in rank order and composing from those parsed
-/// sets, so enumerating `2^top` subsets parses no TIE source again. The
+/// sets, so enumerating `2^top` subsets parses no TIE source again. Its
+/// dominance key is the bitmask of the selected candidates that claim at
+/// least one site (the same claim the rewrite makes): the rewritten
+/// workload's name lists exactly those candidates, so the enumerator
+/// rewrites only the subsets that survive pruning. The
 /// explorer's `base` point is the unmodified workload, so the discovered
 /// space prices the hand-written extension configuration as-is alongside
 /// every discovered subset.
@@ -291,15 +310,34 @@ pub fn candidate_space(report: &Report, top: usize) -> Result<CandidateSpace, St
         });
     }
 
-    let space_name = format!("discovered:{}", report.workload);
-    Ok(CandidateSpace::new(space_name, options, move |sel| {
-        // Rank order, each candidate with its selected option's parsed set.
-        let picked: Vec<(&Candidate, &ExtensionSet)> = chosen
+    // The selected candidates in rank order, with their ranks. Options
+    // are declared in rank order, so rank `i` is option bit `i`.
+    fn selected<'c>(
+        chosen: &'c [Candidate],
+        sel: &Selection<'_>,
+    ) -> impl Iterator<Item = (usize, &'c Candidate)> {
+        let mask = sel.mask();
+        chosen
             .iter()
-            .filter_map(|c| {
-                let option = sel.options().iter().find(|o| o.name == c.name)?;
-                Some((c, &option.ext))
-            })
+            .enumerate()
+            .filter(move |&(i, _)| mask & (1 << i) != 0)
+    }
+    let chosen = Rc::new(chosen);
+    let len = base.program().len();
+    let key = {
+        let chosen = Rc::clone(&chosen);
+        move |sel: &Selection<'_>| {
+            claim(len, selected(&chosen, sel))
+                .expect("pre-validated candidate failed to apply")
+                .into_iter()
+                .fold(0u64, |key, (rank, _)| key | 1 << rank)
+        }
+    };
+    let space_name = format!("discovered:{}", report.workload);
+    Ok(CandidateSpace::new(space_name, options, key, move |sel| {
+        let picked: Vec<(&Candidate, &ExtensionSet)> = selected(&chosen, sel)
+            .zip(sel.options())
+            .map(|((_, cand), option)| (cand, &option.ext))
             .collect();
         rewrite(&base, &picked).expect("pre-validated candidate failed to apply")
     }))

@@ -194,3 +194,74 @@ fn parsed_once_space_resolves_like_a_fresh_apply() {
         assert_eq!(survivor.area, area, "{}", survivor.name);
     }
 }
+
+#[test]
+fn discovered_keys_name_exactly_the_resolved_workloads() {
+    let report = discover_rs1(1);
+    let space = bridge::candidate_space(&report, 8).expect("space builds");
+    let mut name_of_key = std::collections::BTreeMap::new();
+    let mut key_of_name = std::collections::BTreeMap::new();
+    for mask in 0..256 {
+        let key = space.key(mask);
+        let name = space.resolve(mask).name().to_owned();
+        // Distinct keys ⇔ distinct resolved names: each side maps to one
+        // value of the other.
+        assert_eq!(
+            name_of_key.entry(key).or_insert_with(|| name.clone()),
+            &name,
+            "mask {mask:#x}: key {key:#x} names two workloads"
+        );
+        assert_eq!(
+            key_of_name.entry(name.clone()).or_insert(key),
+            &key,
+            "mask {mask:#x}: `{name}` has two keys"
+        );
+    }
+    assert_eq!(name_of_key.len(), 108);
+}
+
+/// The cache key as it was first defined, with the Debug forms built as
+/// strings: on-disk caches stay warm only while `candidate_key` hashes
+/// exactly these bytes.
+fn formatted_key(fp: u64, w: &emx_workloads::Workload, config: &ProcConfig) -> u64 {
+    let program = w.program();
+    let mut bytes = fp.to_le_bytes().to_vec();
+    for v in [program.text_base(), program.data_base(), program.entry()] {
+        bytes.extend(v.to_le_bytes());
+    }
+    for inst in program.text() {
+        bytes.extend(emx_isa::encode(inst).to_le_bytes());
+    }
+    bytes.extend(program.data());
+    bytes.extend(format!("{:?}", w.ext()).as_bytes());
+    bytes.extend(format!("{config:?}").as_bytes());
+    emx_dse::content_fingerprint(&bytes)
+}
+
+#[test]
+fn cache_keys_hash_the_formatted_debug_forms() {
+    let config = ProcConfig::default();
+    let fp = 0x0123_4567_89ab_cdef;
+    let report = discover_rs1(1);
+    let space = bridge::candidate_space(&report, 8).expect("space builds");
+    // Every option selected: the largest discovered composite.
+    let composite = space.resolve(0xff);
+    assert!(composite.ext().len() > 1, "a composite of several units");
+    let mut workloads = emx_dse::CandidateSpace::reed_solomon()
+        .enumerate(None)
+        .expect("enumerates")
+        .candidates
+        .into_iter()
+        .map(|c| c.workload)
+        .collect::<Vec<_>>();
+    assert_eq!(workloads.len(), 4);
+    workloads.push(composite);
+    for w in &workloads {
+        assert_eq!(
+            emx_dse::candidate_key(fp, w.program(), w.ext(), &config),
+            formatted_key(fp, w, &config),
+            "{}",
+            w.name()
+        );
+    }
+}

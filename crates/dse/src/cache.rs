@@ -15,8 +15,15 @@
 //! `obs::json` for reuse across CLI invocations. Version 1 files (which
 //! stored priced energies keyed by model fingerprint) are quarantined on
 //! load like any other foreign schema, and the run starts cold.
+//!
+//! A cache remembers where its exact contents already sit on disk, so
+//! saving a cache that has not changed since it was loaded or saved
+//! writes nothing (see [`EstimationCache::save`]).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+use std::sync::{Mutex, PoisonError};
+use std::time::SystemTime;
 
 use emx_core::EnergyMacroModel;
 use emx_isa::Program;
@@ -51,6 +58,16 @@ impl Fnv {
 
     fn write_u32(&mut self, v: u32) {
         self.write(&v.to_le_bytes());
+    }
+}
+
+/// Formatting straight into the hash: FNV-1a consumes bytes one at a
+/// time, so `write!(h, …)` hashes exactly the bytes `format!` would have
+/// built, without building them.
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -92,8 +109,8 @@ pub fn candidate_key(
     h.write(program.data());
     // The extension set and config lack a binary serialization; their
     // derived Debug forms are content-complete and stable within a build.
-    h.write(format!("{ext:?}").as_bytes());
-    h.write(format!("{config:?}").as_bytes());
+    // Writing into `Fnv` cannot fail.
+    let _ = write!(h, "{ext:?}{config:?}");
     h.0
 }
 
@@ -105,10 +122,33 @@ pub struct CacheEntry {
     pub stats: ExecStats,
 }
 
+/// A file that holds exactly the cache's entries, identified by its path
+/// plus the length and modification time it had then.
+#[derive(Debug, Clone, PartialEq)]
+struct OnDisk {
+    path: String,
+    len: u64,
+    modified: SystemTime,
+}
+
+impl OnDisk {
+    fn of(path: &str, meta: &std::fs::Metadata) -> Option<Self> {
+        Some(OnDisk {
+            path: path.to_owned(),
+            len: meta.len(),
+            modified: meta.modified().ok()?,
+        })
+    }
+}
+
 /// A content-addressed map from [`candidate_key`] to extractions.
 #[derive(Debug, Default)]
 pub struct EstimationCache {
     entries: BTreeMap<u64, CacheEntry>,
+    /// Set by a healthy load and by a save, cleared by every change to
+    /// `entries`. Behind a `Mutex` because [`EstimationCache::save`]
+    /// takes `&self`.
+    clean: Mutex<Option<OnDisk>>,
 }
 
 impl EstimationCache {
@@ -135,6 +175,11 @@ impl EstimationCache {
     /// Stores an extraction.
     pub fn insert(&mut self, key: u64, entry: CacheEntry) {
         self.entries.insert(key, entry);
+        self.set_clean(None);
+    }
+
+    fn set_clean(&self, on_disk: Option<OnDisk>) {
+        *self.clean.lock().unwrap_or_else(PoisonError::into_inner) = on_disk;
     }
 
     /// Iterates the cached extractions in ascending key order.
@@ -166,6 +211,7 @@ impl EstimationCache {
     /// extraction; which copy wins is immaterial.
     pub fn absorb(&mut self, other: EstimationCache) {
         self.entries.extend(other.entries);
+        self.set_clean(None);
     }
 
     /// Serializes the cache as a stable `emx.dse-cache/2` document.
@@ -253,10 +299,13 @@ impl EstimationCache {
     ///
     /// Propagates read failures other than "not found" and parse errors.
     pub fn load(path: &str) -> Result<Self, CacheError> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => Self::from_json_text(&text),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Self::new()),
-            Err(e) => Err(CacheError::Io(format!("`{path}`: {e}"))),
+        match read(path)? {
+            Some((text, on_disk)) => {
+                let cache = Self::from_json_text(&text)?;
+                cache.set_clean(on_disk);
+                Ok(cache)
+            }
+            None => Ok(Self::new()),
         }
     }
 
@@ -275,13 +324,14 @@ impl EstimationCache {
     /// or the quarantine rename itself fails (both leave the bad file in
     /// place, so nothing is lost).
     pub fn load_or_recover(path: &str) -> Result<(Self, Option<CacheRecovery>), CacheError> {
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Self::new(), None)),
-            Err(e) => return Err(CacheError::Io(format!("`{path}`: {e}"))),
+        let Some((text, on_disk)) = read(path)? else {
+            return Ok((Self::new(), None));
         };
         let (cache, cause, salvage) = match Self::salvage_json_text(&text) {
-            Ok((cache, salvage)) if salvage.skipped.is_empty() => return Ok((cache, None)),
+            Ok((cache, salvage)) if salvage.skipped.is_empty() => {
+                cache.set_clean(on_disk);
+                return Ok((cache, None));
+            }
             Ok((cache, salvage)) => {
                 let cause = CacheError::BadEntry(salvage.skipped.join("; "));
                 (cache, cause, salvage)
@@ -306,19 +356,58 @@ impl EstimationCache {
     /// to `<path>.tmp` and renamed into place, so a crash mid-write can
     /// never leave a truncated cache where a good one stood.
     ///
+    /// A clean save is a no-op. After a healthy [`EstimationCache::load`]
+    /// or [`EstimationCache::load_or_recover`] of `path`, or a save to
+    /// it, and with no [`EstimationCache::insert`] or
+    /// [`EstimationCache::absorb`] since, the file already holds these
+    /// entries; `save` then returns without writing, provided the file
+    /// still has the length and modification time it had then. A file
+    /// that was truncated, rewritten or replaced in the meantime fails
+    /// that check and is written again. A load that found no file or
+    /// quarantined a damaged one is never clean.
+    ///
     /// # Errors
     ///
     /// Propagates write and rename failures (the temp file is cleaned up).
     pub fn save(&self, path: &str) -> Result<(), CacheError> {
+        let mut clean = self.clean.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(on_disk) = clean.as_ref().filter(|d| d.path == path) {
+            let now = std::fs::metadata(path).ok();
+            if now.and_then(|m| OnDisk::of(path, &m)).as_ref() == Some(on_disk) {
+                return Ok(());
+            }
+        }
         let mut text = self.to_json().to_string();
         text.push('\n');
         let tmp = format!("{path}.tmp");
         std::fs::write(&tmp, text).map_err(|e| CacheError::WriteFailed(format!("`{tmp}`: {e}")))?;
+        // The rename keeps the file's length and mtime, so they identify
+        // what was written here even if another writer replaces it later.
+        let written = std::fs::metadata(&tmp).ok();
         std::fs::rename(&tmp, path).map_err(|e| {
             let _ = std::fs::remove_file(&tmp);
             CacheError::WriteFailed(format!("rename `{tmp}` -> `{path}`: {e}"))
-        })
+        })?;
+        *clean = written.and_then(|m| OnDisk::of(path, &m));
+        Ok(())
     }
+}
+
+/// Reads the cache file at `path` with the length and modification time
+/// it had when opened; `None` when there is no file. The metadata is
+/// taken before the read, so a file changed during the read can only
+/// mismatch it later, which forces a rewrite, never a skipped one.
+fn read(path: &str) -> Result<Option<(String, Option<OnDisk>)>, CacheError> {
+    let io = |e: std::io::Error| CacheError::Io(format!("`{path}`: {e}"));
+    let mut file = match std::fs::File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(io(e)),
+    };
+    let on_disk = file.metadata().ok().and_then(|m| OnDisk::of(path, &m));
+    let mut text = String::new();
+    std::io::Read::read_to_string(&mut file, &mut text).map_err(io)?;
+    Ok(Some((text, on_disk)))
 }
 
 /// A clonable, thread-safe handle to one [`EstimationCache`] shared by
@@ -390,7 +479,8 @@ impl SharedEstimationCache {
 
     /// Writes the cache to `path` atomically (see
     /// [`EstimationCache::save`]). The lock is held across the write, so
-    /// the snapshot is consistent.
+    /// the snapshot is consistent. As there, a save with nothing inserted
+    /// since the last load or save of `path` writes nothing.
     ///
     /// # Errors
     ///
@@ -590,6 +680,131 @@ mod tests {
         );
         let reloaded = EstimationCache::load(&scratch.0)?;
         assert_eq!(reloaded.get(3), cache.get(3));
+        Ok(())
+    }
+
+    /// Sets the file's mtime to 2000-01-01, so any rewrite shows.
+    fn backdate(path: &str) -> SystemTime {
+        let then = SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(946_684_800);
+        let file = std::fs::File::options()
+            .write(true)
+            .open(path)
+            .expect("cache file opens");
+        file.set_modified(then).expect("mtime settable");
+        then
+    }
+
+    fn mtime(path: &str) -> SystemTime {
+        std::fs::metadata(path)
+            .and_then(|m| m.modified())
+            .expect("cache file has an mtime")
+    }
+
+    /// A two-entry cache saved to a fresh scratch file, backdated.
+    fn saved(tag: &str) -> (Scratch, SystemTime) {
+        let scratch = Scratch::new(tag);
+        let mut cache = EstimationCache::new();
+        cache.insert(1, entry(10));
+        cache.insert(2, entry(20));
+        cache.save(&scratch.0).expect("cache saves");
+        let then = backdate(&scratch.0);
+        (scratch, then)
+    }
+
+    #[test]
+    fn saving_a_freshly_loaded_cache_writes_nothing() -> Result<(), CacheError> {
+        let (scratch, then) = saved("clean-load");
+        let bytes = std::fs::read(&scratch.0).map_err(|e| CacheError::Io(e.to_string()))?;
+        let cache = EstimationCache::load(&scratch.0)?;
+        cache.save(&scratch.0)?;
+        assert_eq!(
+            mtime(&scratch.0),
+            then,
+            "a clean save must not touch the file"
+        );
+        let after = std::fs::read(&scratch.0).map_err(|e| CacheError::Io(e.to_string()))?;
+        assert_eq!(after, bytes);
+
+        let (recovered, recovery) = EstimationCache::load_or_recover(&scratch.0)?;
+        assert!(recovery.is_none());
+        recovered.save(&scratch.0)?;
+        assert_eq!(
+            mtime(&scratch.0),
+            then,
+            "nor after a healthy recovering load"
+        );
+        Ok(())
+    }
+
+    #[test]
+    fn an_insert_after_loading_makes_the_save_write() -> Result<(), CacheError> {
+        let (scratch, then) = saved("dirty");
+        let mut cache = EstimationCache::load(&scratch.0)?;
+        cache.insert(3, entry(30));
+        cache.save(&scratch.0)?;
+        assert_ne!(mtime(&scratch.0), then);
+        assert_eq!(EstimationCache::load(&scratch.0)?.get(3), cache.get(3));
+
+        // The save itself is a clean point: saving again writes nothing.
+        // (The pause lets a rewrite show even with a coarse mtime clock.)
+        let written = mtime(&scratch.0);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        cache.save(&scratch.0)?;
+        assert_eq!(mtime(&scratch.0), written);
+
+        // So does absorbing another cache.
+        let before = backdate(&scratch.0);
+        let mut cache = EstimationCache::load(&scratch.0)?;
+        cache.absorb(EstimationCache::new());
+        cache.save(&scratch.0)?;
+        assert_ne!(mtime(&scratch.0), before);
+        Ok(())
+    }
+
+    #[test]
+    fn a_cache_loaded_from_a_missing_file_is_saved() -> Result<(), CacheError> {
+        let scratch = Scratch::new("missing");
+        let cache = EstimationCache::load(&scratch.0)?;
+        cache.save(&scratch.0)?;
+        assert!(EstimationCache::load(&scratch.0)?.is_empty());
+
+        let other = Scratch::new("missing-recover");
+        let (cache, recovery) = EstimationCache::load_or_recover(&other.0)?;
+        assert!(recovery.is_none());
+        cache.save(&other.0)?;
+        assert!(std::path::Path::new(&other.0).exists());
+        Ok(())
+    }
+
+    #[test]
+    fn a_file_truncated_after_loading_is_rewritten() -> Result<(), CacheError> {
+        let (scratch, _) = saved("cut-after-load");
+        let cache = EstimationCache::load(&scratch.0)?;
+        let text =
+            std::fs::read_to_string(&scratch.0).map_err(|e| CacheError::Io(e.to_string()))?;
+        std::fs::write(&scratch.0, &text[..text.len() / 2])
+            .map_err(|e| CacheError::Io(e.to_string()))?;
+        cache.save(&scratch.0)?;
+        let reloaded = EstimationCache::load(&scratch.0)?;
+        assert_eq!(reloaded.len(), 2);
+        assert_eq!(reloaded.get(2), cache.get(2));
+        Ok(())
+    }
+
+    #[test]
+    fn a_shared_cache_that_only_hits_does_not_rewrite() -> Result<(), CacheError> {
+        let (scratch, then) = saved("shared-hits");
+        let (shared, recovery) = SharedEstimationCache::load_or_recover(&scratch.0)?;
+        assert!(recovery.is_none());
+        for key in [1, 2, 1] {
+            assert!(shared.get(key).is_some());
+            shared.save(&scratch.0)?;
+        }
+        assert_eq!(mtime(&scratch.0), then);
+
+        shared.insert(4, entry(40));
+        shared.save(&scratch.0)?;
+        assert_ne!(mtime(&scratch.0), then, "a miss's insert is flushed");
         Ok(())
     }
 

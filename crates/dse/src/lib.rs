@@ -90,5 +90,6 @@ pub use merge::{merge, MergeOutcome, ShardReport, SHARD_SCHEMA};
 pub use point::{evaluate, pareto_front, rank_by_edp, Candidate, DesignPoint};
 pub use shard::{partition_fingerprint, EstimatorFingerprints, ShardSpec};
 pub use space::{
-    area_cost, CandidateSpace, DesignOption, EnumeratedCandidate, Enumeration, MAX_OPTIONS,
+    area_cost, CandidateSpace, DesignOption, EnumeratedCandidate, Enumeration, Selection,
+    MAX_OPTIONS,
 };

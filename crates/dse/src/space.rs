@@ -9,6 +9,12 @@
 //! prunes *dominated* subsets: two subsets that resolve to the same
 //! workload execute identically, so only the cheapest (by area, then
 //! option count, then enumeration order) can ever be worth building.
+//!
+//! Resolving is the expensive step (assembling or rewriting a program),
+//! so the walk prunes on a cheap *key* that names the resolved workload
+//! without building it, and resolves only the survivors.
+
+use std::collections::hash_map::{Entry, HashMap};
 
 use emx_hwlib::Category;
 use emx_tie::ExtensionSet;
@@ -64,13 +70,20 @@ impl DesignOption {
     }
 }
 
-/// A subset of the space's options, as seen by the resolver.
+/// A subset of the space's options, as seen by the key and the resolver.
 #[derive(Debug, Clone, Copy)]
 pub struct Selection<'a> {
+    mask: usize,
     options: &'a [&'a DesignOption],
 }
 
 impl Selection<'_> {
+    /// The selection bitmask over the space's options (bit *i* = option
+    /// *i*).
+    pub fn mask(&self) -> usize {
+        self.mask
+    }
+
     /// Does any selected unit provide custom instruction `mnemonic`?
     pub fn has_inst(&self, mnemonic: &str) -> bool {
         self.options
@@ -84,12 +97,14 @@ impl Selection<'_> {
     }
 }
 
+type KeyFn = Box<dyn Fn(&Selection<'_>) -> u64>;
 type ResolveFn = Box<dyn Fn(&Selection<'_>) -> Workload>;
 
 /// An enumerable family of candidate configurations for one application.
 pub struct CandidateSpace {
     name: String,
     options: Vec<DesignOption>,
+    key: KeyFn,
     resolve: ResolveFn,
 }
 
@@ -125,16 +140,26 @@ pub struct Enumeration {
 }
 
 impl CandidateSpace {
-    /// Builds a space from options and a resolver. The resolver maps any
-    /// selection to the workload the application would be compiled to.
+    /// Builds a space from options, a key and a resolver. The resolver
+    /// maps any selection to the workload the application would be
+    /// compiled to; the key names that workload without building it.
+    ///
+    /// The contract between the two: for any selections `a` and `b`,
+    /// `key(a) == key(b)` exactly when `resolve(a).name() ==
+    /// resolve(b).name()`. [`CandidateSpace::enumerate`] prunes dominated
+    /// selections on the key and calls the resolver only for the
+    /// survivors, so the key must be cheap next to a resolve, and a key
+    /// that breaks the contract merges (or splits) candidates wrongly.
     pub fn new(
         name: impl Into<String>,
         options: Vec<DesignOption>,
+        key: impl Fn(&Selection<'_>) -> u64 + 'static,
         resolve: impl Fn(&Selection<'_>) -> Workload + 'static,
     ) -> Self {
         CandidateSpace {
             name: name.into(),
             options,
+            key: Box::new(key),
             resolve: Box::new(resolve),
         }
     }
@@ -185,16 +210,12 @@ impl CandidateSpace {
                 ext: exts::rs_full(),
             },
         ];
-        // Resolving a selection assembles the codec from source — by far
-        // the dominant cost of enumeration. All 2^4 selections collapse
-        // onto the four `RsConfig` variants, so each variant is assembled
-        // once and cloned after that; equal selections therefore resolve
-        // to byte-identical workloads, exactly as before.
-        let memo: [std::cell::OnceCell<Workload>; 4] = Default::default();
-        CandidateSpace::new("reed-solomon", options, move |sel| {
-            // The codec needs `gfmul` everywhere (encoder feedback taps);
-            // the syndrome loop then uses the best unit available.
-            let cfg = if sel.has_inst("gfmul") && sel.has_inst("synstep") {
+        // The codec needs `gfmul` everywhere (encoder feedback taps); the
+        // syndrome loop then uses the best unit available. All 2^4
+        // selections collapse onto the four variants, so the variant is
+        // the key and only four selections are ever assembled.
+        fn config(sel: &Selection<'_>) -> RsConfig {
+            if sel.has_inst("gfmul") && sel.has_inst("synstep") {
                 RsConfig::Rs3
             } else if sel.has_inst("gfmac") {
                 RsConfig::Rs2
@@ -202,15 +223,45 @@ impl CandidateSpace {
                 RsConfig::Rs1
             } else {
                 RsConfig::Rs0
-            };
-            memo[cfg as usize].get_or_init(|| cfg.workload()).clone()
+            }
+        }
+        CandidateSpace::new(
+            "reed-solomon",
+            options,
+            |sel| config(sel) as u64,
+            |sel| config(sel).workload(),
+        )
+    }
+
+    /// The options selected by `mask`, in declaration order.
+    fn selected(&self, mask: usize) -> Vec<&DesignOption> {
+        (0..self.options.len())
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| &self.options[i])
+            .collect()
+    }
+
+    /// The dominance key of the selection `mask` (see
+    /// [`CandidateSpace::new`] for its contract with the resolver).
+    pub fn key(&self, mask: usize) -> u64 {
+        (self.key)(&Selection {
+            mask,
+            options: &self.selected(mask),
+        })
+    }
+
+    /// The workload the selection `mask` resolves to.
+    pub fn resolve(&self, mask: usize) -> Workload {
+        (self.resolve)(&Selection {
+            mask,
+            options: &self.selected(mask),
         })
     }
 
     /// Walks every subset of the options, applies the optional area
     /// `budget` (a candidate at exactly the budget survives; only strictly
-    /// larger areas are dropped), resolves each survivor to its effective
-    /// workload, and prunes dominated selections.
+    /// larger areas are dropped), prunes dominated selections by key, and
+    /// resolves each survivor, once, to its effective workload.
     ///
     /// # Errors
     ///
@@ -226,64 +277,69 @@ impl CandidateSpace {
             });
         }
         let total = 1usize << n;
-        let mut survivors: Vec<EnumeratedCandidate> = Vec::new();
+        // The cheapest (mask, area) per key.
+        let mut cheapest: HashMap<u64, (usize, f64)> = HashMap::new();
         let mut over_budget = 0usize;
         let mut pruned = 0usize;
 
         for mask in 0..total {
-            let selected: Vec<&DesignOption> = (0..n)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| &self.options[i])
-                .collect();
+            let selected = self.selected(mask);
             let area = selected.iter().fold(0.0f64, |acc, o| acc + o.area());
             if budget.is_some_and(|b| area > b) {
                 over_budget += 1;
                 continue;
             }
-            let workload = (self.resolve)(&Selection { options: &selected });
-            let candidate = EnumeratedCandidate {
-                name: if selected.is_empty() {
-                    "base".to_owned()
-                } else {
-                    selected
-                        .iter()
-                        .map(|o| o.name.as_str())
-                        .collect::<Vec<_>>()
-                        .join("+")
-                },
-                mask,
-                options: selected.iter().map(|o| o.name.clone()).collect(),
-                area,
-                workload,
-            };
+            let key = self.key(mask);
             // Dominance: same resolved workload ⇒ identical execution, so
             // only the cheapest build matters. Ties break toward fewer
             // units, then earlier enumeration order — deterministic.
-            match survivors
-                .iter_mut()
-                .find(|c| c.workload.name() == candidate.workload.name())
-            {
-                Some(existing) => {
+            match cheapest.entry(key) {
+                Entry::Occupied(mut slot) => {
+                    let (best_mask, best_area) = *slot.get();
                     // Areas that differ only by accumulated rounding (the
                     // same hardware summed in a different order) count as
                     // equal, so the tie-break stays physical.
-                    let tolerance = 1e-9 * existing.area.abs().max(1.0);
-                    let better = if (candidate.area - existing.area).abs() <= tolerance {
-                        candidate.options.len() < existing.options.len()
+                    let tolerance = 1e-9 * best_area.abs().max(1.0);
+                    let better = if (area - best_area).abs() <= tolerance {
+                        mask.count_ones() < best_mask.count_ones()
                     } else {
-                        candidate.area < existing.area
+                        area < best_area
                     };
                     if better {
-                        *existing = candidate;
+                        slot.insert((mask, area));
                     }
                     pruned += 1;
                 }
-                None => survivors.push(candidate),
+                Entry::Vacant(slot) => {
+                    slot.insert((mask, area));
+                }
             }
         }
-        survivors.sort_by_key(|c| c.mask);
+        let mut survivors: Vec<(usize, f64)> = cheapest.into_values().collect();
+        survivors.sort_by_key(|&(mask, _)| mask);
+        let candidates = survivors
+            .into_iter()
+            .map(|(mask, area)| {
+                let selected = self.selected(mask);
+                EnumeratedCandidate {
+                    name: if selected.is_empty() {
+                        "base".to_owned()
+                    } else {
+                        selected
+                            .iter()
+                            .map(|o| o.name.as_str())
+                            .collect::<Vec<_>>()
+                            .join("+")
+                    },
+                    mask,
+                    options: selected.iter().map(|o| o.name.clone()).collect(),
+                    area,
+                    workload: self.resolve(mask),
+                }
+            })
+            .collect();
         Ok(Enumeration {
-            candidates: survivors,
+            candidates,
             enumerated: total,
             over_budget,
             pruned,
@@ -408,7 +464,7 @@ mod tests {
                 ext: ExtensionSet::empty(),
             })
             .collect();
-        let space = CandidateSpace::new("too-big", options, |_| RsConfig::Rs0.workload());
+        let space = CandidateSpace::new("too-big", options, |_| 0, |_| RsConfig::Rs0.workload());
         match space.enumerate(None) {
             Err(DseError::SpaceTooLarge { options, max }) => {
                 assert_eq!(options, MAX_OPTIONS + 1);

@@ -8,6 +8,8 @@
 //! The synthetic candidate spaces are equally deliberate: random option
 //! counts, budgets and resolver collision patterns exercise sharding over
 //! enumerations whose survivor lists have holes in arbitrary places.
+//! The same spaces check the key-then-resolve enumerator against a
+//! reference that resolves every subset and prunes by resolved name.
 
 use std::sync::OnceLock;
 
@@ -15,7 +17,7 @@ use proptest::prelude::*;
 
 use emx_dse::EstimatorFingerprints;
 use emx_dse::{pareto_front, partition_fingerprint, CandidateSpace, DesignPoint, ShardSpec};
-use emx_dse::{DesignOption, Enumeration};
+use emx_dse::{DesignOption, EnumeratedCandidate};
 use emx_rtlpower::Energy;
 use emx_sim::ProcConfig;
 use emx_tie::ExtensionSet;
@@ -162,21 +164,30 @@ fn synthetic_space(n: usize, classes: usize) -> CandidateSpace {
             ext: ext_pool()[i % ext_pool().len()].clone(),
         })
         .collect();
-    CandidateSpace::new("synthetic", options, move |sel| {
-        let mask: usize = sel
-            .options()
-            .iter()
-            .map(|o| 1usize << o.name[1..].parse::<usize>().expect("option name"))
-            .sum();
-        workload_pool()[mask % classes].clone()
-    })
+    CandidateSpace::new(
+        "synthetic",
+        options,
+        move |sel| (sel.mask() % classes) as u64,
+        move |sel| workload_pool()[sel.mask() % classes].clone(),
+    )
 }
 
-/// The survivor list as comparable rows: (mask, candidate name, workload).
-fn rows(e: &Enumeration) -> Vec<(usize, String, String)> {
-    e.candidates
+/// One survivor as a comparable row: every field, with the area as bits.
+type Row = (usize, String, Vec<String>, u64, String);
+
+/// The survivor list as comparable rows.
+fn rows(candidates: &[EnumeratedCandidate]) -> Vec<Row> {
+    candidates
         .iter()
-        .map(|c| (c.mask, c.name.clone(), c.workload.name().to_owned()))
+        .map(|c| {
+            (
+                c.mask,
+                c.name.clone(),
+                c.options.clone(),
+                c.area.to_bits(),
+                c.workload.name().to_owned(),
+            )
+        })
         .collect()
 }
 
@@ -200,17 +211,17 @@ proptest! {
         let space = synthetic_space(n, classes);
         let budget = budget_for(&space, sel);
         let full = space.enumerate(budget).expect("n <= MAX_OPTIONS");
-        let expected = rows(&full);
+        let expected = rows(&full.candidates);
 
         for k in 1..=8u32 {
-            let mut per_shard: Vec<Vec<(usize, String, String)>> = Vec::new();
+            let mut per_shard: Vec<Vec<Row>> = Vec::new();
             for i in 1..=k {
                 let shard = ShardSpec::new(i, k).expect("1 <= i <= k");
                 // Each shard re-enumerates the full space and restricts,
                 // exactly as a worker process does.
                 let mut e = space.enumerate(budget).expect("n <= MAX_OPTIONS");
                 emx_dse::shard::restrict(&mut e, shard);
-                per_shard.push(rows(&e));
+                per_shard.push(rows(&e.candidates));
             }
 
             // Pairwise disjoint by mask.
@@ -238,7 +249,7 @@ proptest! {
 
             // Concatenating shards in index order reproduces the full
             // enumeration — nothing lost, nothing invented, same order.
-            let concat: Vec<(usize, String, String)> =
+            let concat: Vec<Row> =
                 per_shard.into_iter().flatten().collect();
             prop_assert_eq!(concat, expected.clone(), "k = {}", k);
         }
@@ -299,5 +310,82 @@ proptest! {
             EstimatorFingerprints { pricing: PRICE_FP ^ 1, ..FPS }, &config,
         );
         prop_assert_ne!(base, refit);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Enumeration oracle.
+// ---------------------------------------------------------------------------
+
+/// The enumerator without keys: resolve every subset within the budget,
+/// and prune by the resolved workload's name. Returns the survivors in
+/// ascending-mask order plus the `over_budget` and `pruned` counts.
+fn reference_enumerate(
+    space: &CandidateSpace,
+    budget: Option<f64>,
+) -> (Vec<EnumeratedCandidate>, usize, usize) {
+    let n = space.options().len();
+    let mut survivors: Vec<EnumeratedCandidate> = Vec::new();
+    let (mut over_budget, mut pruned) = (0, 0);
+    for mask in 0..1usize << n {
+        let selected: Vec<&DesignOption> = (0..n)
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| &space.options()[i])
+            .collect();
+        let area = selected.iter().fold(0.0f64, |acc, o| acc + o.area());
+        if budget.is_some_and(|b| area > b) {
+            over_budget += 1;
+            continue;
+        }
+        let options: Vec<String> = selected.iter().map(|o| o.name.clone()).collect();
+        let candidate = EnumeratedCandidate {
+            name: if options.is_empty() {
+                "base".to_owned()
+            } else {
+                options.join("+")
+            },
+            mask,
+            options,
+            area,
+            workload: space.resolve(mask),
+        };
+        match survivors
+            .iter_mut()
+            .find(|c| c.workload.name() == candidate.workload.name())
+        {
+            Some(existing) => {
+                let tolerance = 1e-9 * existing.area.abs().max(1.0);
+                let better = if (candidate.area - existing.area).abs() <= tolerance {
+                    candidate.options.len() < existing.options.len()
+                } else {
+                    candidate.area < existing.area
+                };
+                if better {
+                    *existing = candidate;
+                }
+                pruned += 1;
+            }
+            None => survivors.push(candidate),
+        }
+    }
+    survivors.sort_by_key(|c| c.mask);
+    (survivors, over_budget, pruned)
+}
+
+proptest! {
+    #[test]
+    fn keyed_enumeration_matches_resolving_every_subset(
+        n in 0usize..=6,
+        classes in 1usize..=32,
+        sel in 0usize..=4,
+    ) {
+        let space = synthetic_space(n, classes);
+        let budget = budget_for(&space, sel);
+        let got = space.enumerate(budget).expect("n <= MAX_OPTIONS");
+        let (expected, over_budget, pruned) = reference_enumerate(&space, budget);
+        prop_assert_eq!(got.enumerated, 1usize << n);
+        prop_assert_eq!(rows(&got.candidates), rows(&expected));
+        prop_assert_eq!(got.over_budget, over_budget);
+        prop_assert_eq!(got.pruned, pruned);
     }
 }

@@ -318,8 +318,9 @@ fn run(options: &Options) -> Result<(), EmxError> {
     }
 
     if let Some(path) = &options.cache_path {
+        // A clean cache (nothing evaluated) is not rewritten.
         cache.save(path)?;
-        println!("cache written to {path}");
+        println!("cache up to date in {path}");
     }
 
     let options_table: Vec<(String, f64)> = space

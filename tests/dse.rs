@@ -325,11 +325,13 @@ fn pool_space(pool: Vec<Workload>) -> CandidateSpace {
             ext: exts::gf16_mac(),
         },
     ];
-    CandidateSpace::new("pool", options, move |sel| {
-        let a = sel.options().iter().any(|o| o.name == "a") as usize;
-        let b = sel.options().iter().any(|o| o.name == "b") as usize;
-        pool[a | (b << 1)].clone()
-    })
+    // Option `a` is bit 0 and `b` bit 1, so the mask is the pool index.
+    CandidateSpace::new(
+        "pool",
+        options,
+        |sel| sel.mask() as u64,
+        move |sel| pool[sel.mask()].clone(),
+    )
 }
 
 #[test]

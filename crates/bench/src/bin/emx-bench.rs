@@ -56,20 +56,12 @@ fn parse_args(args: &mut Args) -> Result<Options, EmxError> {
     };
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--list" => options.bench.list = true,
-            "--samples" => {
-                let n: usize = args.number("a value")?;
-                if n < 2 {
-                    return Err(args.error("--samples must be at least 2"));
-                }
-                options.bench.samples = Some(n);
-            }
             "--json" => options.json = Some(args.value("a path")?),
             "--baseline" => options.baseline = Some(args.value("a path")?),
             "--compare" => options.compare = Some(args.value("a path")?),
             "--threshold" => options.threshold_pct = args.number("a value")?,
             "--warn-only" => options.warn_only = true,
-            _ => args.positional(&mut options.bench.filter, arg)?,
+            _ => options.bench.read(args, arg)?,
         }
     }
     if options.compare.is_some() && options.baseline.is_none() {

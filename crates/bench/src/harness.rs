@@ -22,6 +22,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use emx_core::cli::Args;
+use emx_core::EmxError;
 use emx_obs::Histogram;
 
 /// Minimum wall-clock time of one sample, in nanoseconds. Short
@@ -42,53 +44,51 @@ pub struct BenchOptions {
     pub samples: Option<usize>,
 }
 
+/// The usage line of a bench target's command line.
+const USAGE: &str =
+    "usage: cargo bench -p emx-bench [--bench <suite>] -- [FILTER] [--list] [--samples <n>]";
+
 impl BenchOptions {
-    /// Parses bench arguments (everything after the binary name).
-    ///
-    /// Recognized: one positional substring filter, `--list`,
-    /// `--samples N`. Cargo's own `--bench` marker is ignored.
+    /// Parses a bench target's command line: one positional substring
+    /// filter, `--list`, `--samples N`. Cargo's own `--bench` marker is
+    /// ignored.
     ///
     /// # Errors
     ///
-    /// A usage message naming the first unknown flag, missing value, or
-    /// extra positional argument.
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<BenchOptions, String> {
+    /// A usage error naming the first unknown flag, missing or bad value,
+    /// or extra positional argument.
+    pub fn parse(args: &mut Args) -> Result<BenchOptions, EmxError> {
         let mut opts = BenchOptions::default();
-        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 // Passed by `cargo bench` to every bench target.
                 "--bench" => {}
-                "--list" => opts.list = true,
-                "--samples" => {
-                    let value = args
-                        .next()
-                        .ok_or_else(|| "--samples requires a value".to_owned())?;
-                    let n: usize = value
-                        .parse()
-                        .map_err(|_| format!("--samples: `{value}` is not a number"))?;
-                    if n < 2 {
-                        return Err("--samples must be at least 2".to_owned());
-                    }
-                    opts.samples = Some(n);
-                }
-                flag if flag.starts_with('-') => {
-                    return Err(format!("unknown flag `{flag}`"));
-                }
-                positional => {
-                    if opts.filter.is_some() {
-                        return Err(format!("unexpected extra argument `{positional}`"));
-                    }
-                    opts.filter = Some(positional.to_owned());
-                }
+                _ => opts.read(args, arg)?,
             }
         }
         Ok(opts)
     }
 
-    /// The usage string printed alongside parse errors.
-    pub fn usage(program: &str) -> String {
-        format!("usage: {program} [FILTER] [--list] [--samples N]")
+    /// Reads `arg`, the flag `args` just yielded, as one of the bench
+    /// options; `emx-bench` calls this for every flag it does not own.
+    ///
+    /// # Errors
+    ///
+    /// A usage error for `--samples` without a number of at least 2, an
+    /// unknown flag, or a second positional filter.
+    pub fn read(&mut self, args: &mut Args, arg: String) -> Result<(), EmxError> {
+        match arg.as_str() {
+            "--list" => self.list = true,
+            "--samples" => {
+                let n: usize = args.number("a value")?;
+                if n < 2 {
+                    return Err(args.error("--samples must be at least 2"));
+                }
+                self.samples = Some(n);
+            }
+            _ => args.positional(&mut self.filter, arg)?,
+        }
+        Ok(())
     }
 }
 
@@ -127,17 +127,14 @@ pub struct Bench {
 }
 
 impl Bench {
-    /// Builds the harness from the command line; prints usage and exits
-    /// with code 2 on a malformed one.
+    /// Builds the harness from the command line; prints the error and the
+    /// usage line and exits with code 2 on a malformed one.
     pub fn from_args(suite: &str) -> Self {
-        let options = match BenchOptions::parse(std::env::args().skip(1)) {
-            Ok(options) => options,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                eprintln!("{}", BenchOptions::usage(suite));
-                std::process::exit(2);
-            }
-        };
+        let options = BenchOptions::parse(&mut Args::new(USAGE, std::env::args().skip(1)))
+            .unwrap_or_else(|e| {
+                eprintln!("{}", e.message());
+                std::process::exit(e.exit_code().into());
+            });
         if !options.list {
             println!("suite: {suite}");
         }
@@ -365,11 +362,13 @@ mod tests {
         assert!(b.finish().is_empty());
     }
 
+    fn parse(args: &[&str]) -> Result<BenchOptions, EmxError> {
+        BenchOptions::parse(&mut Args::new(USAGE, args.iter().map(|s| (*s).to_owned())))
+    }
+
     #[test]
     fn options_parse_recognizes_flags() {
-        let opts =
-            BenchOptions::parse(["--bench", "lstsq", "--samples", "5", "--list"].map(String::from))
-                .unwrap();
+        let opts = parse(&["--bench", "lstsq", "--samples", "5", "--list"]).unwrap();
         assert_eq!(
             opts,
             BenchOptions {
@@ -383,14 +382,15 @@ mod tests {
     #[test]
     fn options_parse_rejects_garbage() {
         for bad in [
-            vec!["--frobnicate"],
-            vec!["--samples"],
-            vec!["--samples", "zero"],
-            vec!["--samples", "1"],
-            vec!["a", "b"],
+            &["--frobnicate"][..],
+            &["--samples"],
+            &["--samples", "zero"],
+            &["--samples", "1"],
+            &["a", "b"],
         ] {
-            let args = bad.iter().map(|s| (*s).to_owned());
-            assert!(BenchOptions::parse(args).is_err(), "{bad:?}");
+            let e = parse(bad).expect_err("rejected");
+            assert_eq!(e.exit_code(), 2, "{bad:?} must be a usage error");
+            assert!(e.message().ends_with(USAGE), "{bad:?}: {}", e.message());
         }
     }
 }

@@ -87,7 +87,7 @@ pub use engine::{
 pub use error::{CacheError, DseError};
 pub use extract::{extract_counts, extraction_fingerprint, price, EXTRACTION_SCHEMA};
 pub use merge::{merge, MergeOutcome, ShardReport, SHARD_SCHEMA};
-pub use point::{evaluate, pareto_front, rank_by_edp, Candidate, DesignPoint};
+pub use point::{pareto_front, rank_by_edp, DesignPoint};
 pub use shard::{partition_fingerprint, EstimatorFingerprints, ShardSpec};
 pub use space::{
     area_cost, CandidateSpace, DesignOption, EnumeratedCandidate, Enumeration, Selection,

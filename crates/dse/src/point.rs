@@ -7,24 +7,7 @@
 //! [`DesignPoint`] in the energy/cycles plane, the Pareto front over a set
 //! of points, and an energy-delay-product ranking.
 
-use emx_isa::Program;
 use emx_rtlpower::Energy;
-use emx_sim::{ProcConfig, SimError};
-use emx_tie::ExtensionSet;
-
-use emx_core::EnergyMacroModel;
-
-/// One candidate configuration: the application compiled against one
-/// custom-instruction choice.
-#[derive(Debug, Clone, Copy)]
-pub struct Candidate<'a> {
-    /// Display name of the design point.
-    pub name: &'a str,
-    /// The application built for this extension set.
-    pub program: &'a Program,
-    /// The candidate extension set.
-    pub ext: &'a ExtensionSet,
-}
 
 /// An evaluated design point.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,33 +25,6 @@ impl DesignPoint {
     pub fn edp(&self) -> f64 {
         self.energy.as_picojoules() * self.cycles as f64
     }
-}
-
-/// Evaluates every candidate sequentially through the fast estimation path
-/// (one ISS run plus a dot product each — no synthesis, no reference power
-/// run). The parallel, cached equivalent is
-/// [`evaluate_batch`](crate::engine::evaluate_batch).
-///
-/// # Errors
-///
-/// Propagates the first simulation failure, tagged by nothing more than
-/// order — candidates are expected to be pre-verified workloads.
-pub fn evaluate(
-    model: &EnergyMacroModel,
-    candidates: &[Candidate<'_>],
-    config: ProcConfig,
-) -> Result<Vec<DesignPoint>, SimError> {
-    candidates
-        .iter()
-        .map(|c| {
-            let est = model.estimate(c.program, c.ext, config.clone())?;
-            Ok(DesignPoint {
-                name: c.name.to_owned(),
-                energy: est.energy,
-                cycles: est.stats.total_cycles,
-            })
-        })
-        .collect()
 }
 
 /// Indices of the energy/performance Pareto-optimal points, sorted by

@@ -2,8 +2,11 @@
 //!
 //! The paper's extensions are written in the TIE language and processed by
 //! the TIE compiler. This module provides the equivalent front end: a small
-//! hardware-description language that parses to [`ExtensionSet`]s, so
-//! extensions can live in `.tie` text files instead of builder code.
+//! hardware-description language that parses to [`ExtensionSet`]s. The
+//! built-in extension library (`emx_workloads::exts`), the candidates
+//! `emx-discover` synthesizes and the sources handed to `emx-run --tie`,
+//! `emx-serve` and `emx-dse` are all TIE text compiled here; the
+//! [`ExtensionBuilder`] is the layer it elaborates to.
 //!
 //! # Syntax
 //!

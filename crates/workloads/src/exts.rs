@@ -7,34 +7,108 @@
 //! identify every structural coefficient of the macro-model ("the test
 //! program suite also incorporates custom instructions so as to cover all
 //! the custom hardware library components").
+//!
+//! Every set is written in the TIE language of [`emx_tie::lang`] and put
+//! through the same front end as discovered and user-supplied extensions.
+//! Pieces that several sets share — the GF(2⁴) multiply body, the
+//! Reed–Solomon syndrome unit — are written once and spliced in, and
+//! lookup tables whose contents are computed in Rust (the [`gf`] tables,
+//! `des_sbox`, the `bigtable` curve) are rendered as `table`
+//! declarations.
 
-use emx_hwlib::{DfGraph, LookupTable, NodeId, PrimOp};
-use emx_tie::{ExtensionBuilder, ExtensionSet, InputBind, OutputBind};
+use emx_tie::lang::parse_extension;
+use emx_tie::ExtensionSet;
 
 use crate::gf;
 
-/// Builds the GF(2⁴) product of two 4-bit nodes inside `g`, using
-/// log/antilog tables with explicit zero handling. Returns the product
-/// node.
-fn gfmul_core(g: &mut DfGraph, a: NodeId, b: NodeId) -> NodeId {
-    let log_t = g.add_table(LookupTable::new(gf::log_table().to_vec(), 4).expect("table"));
-    let exp_t = g.add_table(LookupTable::new(gf::exp_table().to_vec(), 4).expect("table"));
-    let la = g
-        .node(PrimOp::TableLookup { table_index: log_t }, 4, &[a])
-        .expect("graph");
-    let lb = g
-        .node(PrimOp::TableLookup { table_index: log_t }, 4, &[b])
-        .expect("graph");
-    let sum = g.node(PrimOp::Add, 5, &[la, lb]).expect("graph");
-    let prod = g
-        .node(PrimOp::TableLookup { table_index: exp_t }, 4, &[sum])
-        .expect("graph");
-    let az = g.node(PrimOp::RedOr, 1, &[a]).expect("graph");
-    let bz = g.node(PrimOp::RedOr, 1, &[b]).expect("graph");
-    let nz = g.node(PrimOp::And, 1, &[az, bz]).expect("graph");
-    let zero = g.constant(0, 4).expect("graph");
-    g.node(PrimOp::Mux, 4, &[nz, prod, zero]).expect("graph")
+/// Compiles `extension NAME { … }` whose body is the concatenation of
+/// `parts`. The sources are fixed, so a failure is a bug in this file.
+fn tie(name: &str, parts: &[&str]) -> ExtensionSet {
+    let src = format!("extension {name} {{\n{}\n}}", parts.concat());
+    parse_extension(&src).unwrap_or_else(|e| panic!("built-in extension `{name}`: {e}"))
 }
+
+/// A `table NAME[N] : WIDTH = { … };` declaration over computed entries.
+fn table(name: &str, width: u8, entries: impl IntoIterator<Item = u64>) -> String {
+    let entries: Vec<String> = entries.into_iter().map(|v| v.to_string()).collect();
+    format!(
+        "table {name}[{}] : {width} = {{ {} }};\n",
+        entries.len(),
+        entries.join(", ")
+    )
+}
+
+/// The log/antilog tables that [`gf_mul!`] indexes.
+fn gf_tables() -> String {
+    table("logt", 4, gf::log_table()) + &table("expt", 4, gf::exp_table())
+}
+
+/// Statements computing the GF(2⁴) product `p = a ⊗ b` of two 4-bit
+/// names through the [`gf_tables`], with explicit zero handling.
+macro_rules! gf_mul {
+    () => {
+        "
+        la = logt[a];
+        lb = logt[b];
+        s : 5 = la + lb;
+        e = expt[s];
+        nz = redor(a) & redor(b);
+        z : 4 = 0;
+        p = mux(nz, e, z);"
+    };
+}
+
+/// `gfmul d, a, b` — `d = a ⊗ b` in GF(16).
+const GFMUL: &str = concat!(
+    "
+    inst gfmul(a: gpr(4), b: gpr(4), out d: gpr) {",
+    gf_mul!(),
+    "
+        d = p;
+    }"
+);
+
+/// The four-way parallel syndrome unit of [`rs_wide`] and [`rs_full`]:
+/// the `syn` register, the `αⁱ` constant-multiplier tables and
+/// `synstep`/`rdsyn`/`clrsyn`.
+fn syndrome_unit() -> String {
+    let mut src: String = (1..4)
+        .map(|i| table(&format!("alpha{i}"), 4, gf::const_mul_table(i)))
+        .collect();
+    src.push_str(
+        "
+    state syn : 16;
+    inst synstep(r: gpr(4), syn: state(syn), out next: state(syn)) {
+        s0 = slice(syn, 0, 4);
+        x0 = s0 ^ r; // α⁰ = 1: no constant multiplier needed
+        s1 = slice(syn, 4, 4);
+        x1 = alpha1[s1] ^ r;
+        s2 = slice(syn, 8, 4);
+        x2 = alpha2[s2] ^ r;
+        s3 = slice(syn, 12, 4);
+        x3 = alpha3[s3] ^ r;
+        p01 = pack(x0, x1, 4);
+        p012 = pack(p01, x2, 8);
+        next = pack(p012, x3, 12);
+    }
+    inst rdsyn(syn: state(syn), out d: gpr) {
+        d = syn;
+    }
+    inst clrsyn(out next: state(syn)) {
+        next = 0;
+    }",
+    );
+    src
+}
+
+/// `absdiff d, a, b` — unsigned absolute difference.
+const ABSDIFF: &str = "
+    inst absdiff(a: gpr, b: gpr, out d: gpr) {
+        lt = ltu(a, b);
+        d1 = a - b;
+        d2 = b - a;
+        d = mux(lt, d2, d1);
+    }";
 
 /// `mac16`: a 16×16 multiply–accumulate unit over a 40-bit accumulator
 /// (`TIE_mac` + custom register).
@@ -43,7 +117,20 @@ fn gfmul_core(g: &mut DfGraph, a: NodeId, b: NodeId) -> NodeId {
 /// * `rdacc d` — `d = acc[31:0]`
 /// * `clracc` — `acc = 0`
 pub fn mac16() -> ExtensionSet {
-    mac_width(16, 40, "mac16")
+    tie(
+        "mac16",
+        &["
+    state acc : 40;
+    inst mac(a: gpr(16), b: gpr(16), acc: state(acc), out next: state(acc)) {
+        next = mac(a, b, acc);
+    }
+    inst rdacc(acc: state(acc), out d: gpr) {
+        d = slice(acc, 0, 32);
+    }
+    inst clracc(out next: state(acc)) {
+        next = 0;
+    }"],
+    )
 }
 
 /// `mac8`: the same MAC structure at 8-bit operand / 20-bit accumulator
@@ -51,54 +138,20 @@ pub fn mac16() -> ExtensionSet {
 /// custom-register categories at two different complexity ratios (the
 /// quadratic-vs-linear `f(C)` split is unidentifiable from one width).
 pub fn mac8() -> ExtensionSet {
-    mac_width(8, 20, "mac8")
-}
-
-fn mac_width(w: u8, acc_w: u8, name: &str) -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new(name);
-    let acc = ext.state("acc", acc_w).expect("state");
-
-    let mut g = DfGraph::new();
-    let a = g.input("a", w);
-    let b = g.input("b", w);
-    let acc_in = g.input("acc", acc_w);
-    let mac = g
-        .node(PrimOp::TieMac, acc_w, &[a, b, acc_in])
-        .expect("graph");
-    g.output(mac);
-    ext.instruction("mac", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_input(InputBind::State(acc))
-        .expect("bind")
-        .bind_output(OutputBind::State(acc))
-        .expect("bind");
-
-    let mut g = DfGraph::new();
-    let acc_in = g.input("acc", acc_w);
-    let low = g
-        .node(PrimOp::Slice { lsb: 0 }, acc_w.min(32), &[acc_in])
-        .expect("graph");
-    g.output(low);
-    ext.instruction("rdacc", g)
-        .expect("inst")
-        .bind_input(InputBind::State(acc))
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-
-    let mut g = DfGraph::new();
-    let zero = g.constant(0, acc_w).expect("graph");
-    g.output(zero);
-    ext.instruction("clracc", g)
-        .expect("inst")
-        .bind_output(OutputBind::State(acc))
-        .expect("bind");
-
-    ext.build().expect("mac extension compiles")
+    tie(
+        "mac8",
+        &["
+    state acc : 20;
+    inst mac(a: gpr(8), b: gpr(8), acc: state(acc), out next: state(acc)) {
+        next = mac(a, b, acc);
+    }
+    inst rdacc(acc: state(acc), out d: gpr) {
+        d = slice(acc, 0, 20);
+    }
+    inst clracc(out next: state(acc)) {
+        next = 0;
+    }"],
+    )
 }
 
 /// `mac16x2`: dual MAC over packed 16-bit lanes with two 40-bit
@@ -108,85 +161,32 @@ fn mac_width(w: u8, acc_w: u8, name: &str) -> ExtensionSet {
 /// * `rdacc0 d` / `rdacc1 d` — read accumulator low words
 /// * `clracc2` — clear both
 pub fn mac16x2() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("mac16x2");
-    let acc0 = ext.state("acc0", 40).expect("state");
-    let acc1 = ext.state("acc1", 40).expect("state");
-
-    let mut g = DfGraph::new();
-    let a = g.input("a", 32);
-    let b = g.input("b", 32);
-    let a0_in = g.input("acc0", 40);
-    let a1_in = g.input("acc1", 40);
-    let alo = g.node(PrimOp::Slice { lsb: 0 }, 16, &[a]).expect("graph");
-    let ahi = g.node(PrimOp::Slice { lsb: 16 }, 16, &[a]).expect("graph");
-    let blo = g.node(PrimOp::Slice { lsb: 0 }, 16, &[b]).expect("graph");
-    let bhi = g.node(PrimOp::Slice { lsb: 16 }, 16, &[b]).expect("graph");
-    let m0 = g
-        .node(PrimOp::TieMac, 40, &[alo, blo, a0_in])
-        .expect("graph");
-    let m1 = g
-        .node(PrimOp::TieMac, 40, &[ahi, bhi, a1_in])
-        .expect("graph");
-    g.output(m0);
-    g.output(m1);
-    ext.instruction("mac2", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_input(InputBind::State(acc0))
-        .expect("bind")
-        .bind_input(InputBind::State(acc1))
-        .expect("bind")
-        .bind_output(OutputBind::State(acc0))
-        .expect("bind")
-        .bind_output(OutputBind::State(acc1))
-        .expect("bind");
-
-    for (name, state) in [("rdacc0", acc0), ("rdacc1", acc1)] {
-        let mut g = DfGraph::new();
-        let acc_in = g.input("acc", 40);
-        let low = g
-            .node(PrimOp::Slice { lsb: 0 }, 32, &[acc_in])
-            .expect("graph");
-        g.output(low);
-        ext.instruction(name, g)
-            .expect("inst")
-            .bind_input(InputBind::State(state))
-            .expect("bind")
-            .bind_output(OutputBind::Gpr)
-            .expect("bind");
+    tie(
+        "mac16x2",
+        &["
+    state acc0 : 40;
+    state acc1 : 40;
+    inst mac2(a: gpr, b: gpr, acc0: state(acc0), acc1: state(acc1),
+              out next0: state(acc0), out next1: state(acc1)) {
+        alo = slice(a, 0, 16);
+        ahi = slice(a, 16, 16);
+        blo = slice(b, 0, 16);
+        bhi = slice(b, 16, 16);
+        next0 = mac(alo, blo, acc0);
+        next1 = mac(ahi, bhi, acc1);
     }
-
-    let mut g = DfGraph::new();
-    let zero = g.constant(0, 40).expect("graph");
-    g.output(zero);
-    g.output(zero);
-    ext.instruction("clracc2", g)
-        .expect("inst")
-        .bind_output(OutputBind::State(acc0))
-        .expect("bind")
-        .bind_output(OutputBind::State(acc1))
-        .expect("bind");
-
-    ext.build().expect("mac16x2 extension compiles")
-}
-
-fn add_gfmul_inst(ext: &mut ExtensionBuilder) {
-    let mut g = DfGraph::new();
-    let a = g.input("a", 4);
-    let b = g.input("b", 4);
-    let p = gfmul_core(&mut g, a, b);
-    g.output(p);
-    ext.instruction("gfmul", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
+    inst rdacc0(acc: state(acc0), out d: gpr) {
+        d = slice(acc, 0, 32);
+    }
+    inst rdacc1(acc: state(acc1), out d: gpr) {
+        d = slice(acc, 0, 32);
+    }
+    inst clracc2(out next0: state(acc0), out next1: state(acc1)) {
+        z : 40 = 0;
+        next0 = z;
+        next1 = z;
+    }"],
+    )
 }
 
 /// `gf16`: a single-instruction GF(2⁴) multiplier using log/antilog
@@ -194,9 +194,7 @@ fn add_gfmul_inst(ext: &mut ExtensionBuilder) {
 ///
 /// * `gfmul d, a, b` — `d = a ⊗ b` in GF(16)
 pub fn gf16() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("gf16");
-    add_gfmul_inst(&mut ext);
-    ext.build().expect("gf16 extension compiles")
+    tie("gf16", &[&gf_tables(), GFMUL])
 }
 
 /// `gf16mac`: GF(2⁴) multiplier plus an accumulating variant over a 4-bit
@@ -206,60 +204,22 @@ pub fn gf16() -> ExtensionSet {
 /// * `gfmac a, b` — `gacc ^= a ⊗ b`
 /// * `rdgacc d` / `clrgacc`
 pub fn gf16_mac() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("gf16mac");
-    let gacc = ext.state("gacc", 4).expect("state");
-
-    let mut g = DfGraph::new();
-    let a = g.input("a", 4);
-    let b = g.input("b", 4);
-    let p = gfmul_core(&mut g, a, b);
-    g.output(p);
-    ext.instruction("gfmul", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-
-    let mut g = DfGraph::new();
-    let a = g.input("a", 4);
-    let b = g.input("b", 4);
-    let acc_in = g.input("gacc", 4);
-    let p = gfmul_core(&mut g, a, b);
-    let nx = g.node(PrimOp::Xor, 4, &[p, acc_in]).expect("graph");
-    g.output(nx);
-    ext.instruction("gfmac", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_input(InputBind::State(gacc))
-        .expect("bind")
-        .bind_output(OutputBind::State(gacc))
-        .expect("bind");
-
-    let mut g = DfGraph::new();
-    let acc_in = g.input("gacc", 4);
-    g.output(acc_in);
-    ext.instruction("rdgacc", g)
-        .expect("inst")
-        .bind_input(InputBind::State(gacc))
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-
-    let mut g = DfGraph::new();
-    let zero = g.constant(0, 4).expect("graph");
-    g.output(zero);
-    ext.instruction("clrgacc", g)
-        .expect("inst")
-        .bind_output(OutputBind::State(gacc))
-        .expect("bind");
-
-    ext.build().expect("gf16mac extension compiles")
+    let gfmac = concat!(
+        "
+    state gacc : 4;
+    inst gfmac(a: gpr(4), b: gpr(4), gacc: state(gacc), out next: state(gacc)) {",
+        gf_mul!(),
+        "
+        next = p ^ gacc;
+    }
+    inst rdgacc(gacc: state(gacc), out d: gpr) {
+        d = gacc;
+    }
+    inst clrgacc(out next: state(gacc)) {
+        next = 0;
+    }"
+    );
+    tie("gf16mac", &[&gf_tables(), GFMUL, gfmac])
 }
 
 /// `rswide`: a four-way parallel Reed–Solomon syndrome unit over a packed
@@ -271,80 +231,14 @@ pub fn gf16_mac() -> ExtensionSet {
 /// * `rdsyn d` — packed `[S3 S2 S1 S0]`
 /// * `clrsyn`
 pub fn rs_wide() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("rswide");
-    add_syn_insts(&mut ext);
-    ext.build().expect("rswide extension compiles")
+    tie("rswide", &[&syndrome_unit()])
 }
 
 /// `rsfull`: the widest Reed–Solomon configuration — the parallel
 /// syndrome unit of [`rs_wide`] plus the [`gf16`] multiplier, so both the
 /// encoder and the decoder run on custom hardware.
 pub fn rs_full() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("rsfull");
-    add_gfmul_inst(&mut ext);
-    add_syn_insts(&mut ext);
-    ext.build().expect("rsfull extension compiles")
-}
-
-fn add_syn_insts(ext: &mut ExtensionBuilder) {
-    let syn = ext.state("syn", 16).expect("state");
-
-    let mut g = DfGraph::new();
-    let r = g.input("r", 4);
-    let syn_in = g.input("syn", 16);
-    let mut lanes = Vec::new();
-    for i in 0..4u8 {
-        let s = g
-            .node(PrimOp::Slice { lsb: 4 * i }, 4, &[syn_in])
-            .expect("graph");
-        let rotated = if i == 0 {
-            s // α⁰ = 1: no constant multiplier needed
-        } else {
-            let t = g.add_table(
-                LookupTable::new(gf::const_mul_table(i as usize).to_vec(), 4).expect("table"),
-            );
-            g.node(PrimOp::TableLookup { table_index: t }, 4, &[s])
-                .expect("graph")
-        };
-        let nx = g.node(PrimOp::Xor, 4, &[rotated, r]).expect("graph");
-        lanes.push(nx);
-    }
-    let p01 = g
-        .node(PrimOp::Pack { lsb: 4 }, 8, &[lanes[0], lanes[1]])
-        .expect("graph");
-    let p012 = g
-        .node(PrimOp::Pack { lsb: 8 }, 12, &[p01, lanes[2]])
-        .expect("graph");
-    let packed = g
-        .node(PrimOp::Pack { lsb: 12 }, 16, &[p012, lanes[3]])
-        .expect("graph");
-    g.output(packed);
-    ext.instruction("synstep", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::State(syn))
-        .expect("bind")
-        .bind_output(OutputBind::State(syn))
-        .expect("bind");
-
-    let mut g = DfGraph::new();
-    let syn_in = g.input("syn", 16);
-    g.output(syn_in);
-    ext.instruction("rdsyn", g)
-        .expect("inst")
-        .bind_input(InputBind::State(syn))
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-
-    let mut g = DfGraph::new();
-    let zero = g.constant(0, 16).expect("graph");
-    g.output(zero);
-    ext.instruction("clrsyn", g)
-        .expect("inst")
-        .bind_output(OutputBind::State(syn))
-        .expect("bind");
+    tie("rsfull", &[&gf_tables(), GFMUL, &syndrome_unit()])
 }
 
 /// `dsp16`: saturating fractional multiply plus variable shifts
@@ -353,45 +247,25 @@ fn add_syn_insts(ext: &mut ExtensionBuilder) {
 /// * `satmul d, a, b` — `d = min((a·b) >> 7, 0xffff)` over 16-bit inputs
 /// * `vshl d, a, b` / `vshr d, a, b` — variable barrel shifts
 pub fn dsp16() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("dsp16");
-
-    let mut g = DfGraph::new();
-    let a = g.input("a", 16);
-    let b = g.input("b", 16);
-    let p = g.node(PrimOp::Mul, 32, &[a, b]).expect("graph");
-    let sh = g.node(PrimOp::Slice { lsb: 7 }, 25, &[p]).expect("graph");
-    let limit = g.constant(0xffff, 25).expect("graph");
-    let over = g.node(PrimOp::CmpLtu, 1, &[limit, sh]).expect("graph");
-    let lo = g.node(PrimOp::Slice { lsb: 0 }, 16, &[sh]).expect("graph");
-    let sat = g.constant(0xffff, 16).expect("graph");
-    let out = g.node(PrimOp::Mux, 16, &[over, sat, lo]).expect("graph");
-    g.output(out);
-    ext.instruction("satmul", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-
-    for (name, op) in [("vshl", PrimOp::Shl), ("vshr", PrimOp::Shr)] {
-        let mut g = DfGraph::new();
-        let a = g.input("a", 32);
-        let b = g.input("b", 5);
-        let out = g.node(op, 32, &[a, b]).expect("graph");
-        g.output(out);
-        ext.instruction(name, g)
-            .expect("inst")
-            .bind_input(InputBind::GprS)
-            .expect("bind")
-            .bind_input(InputBind::GprT)
-            .expect("bind")
-            .bind_output(OutputBind::Gpr)
-            .expect("bind");
+    tie(
+        "dsp16",
+        &["
+    inst satmul(a: gpr(16), b: gpr(16), out d: gpr) {
+        p = a * b;
+        sh = slice(p, 7, 25);
+        limit : 25 = 0xffff;
+        over = ltu(limit, sh);
+        lo = slice(sh, 0, 16);
+        sat : 16 = 0xffff;
+        d = mux(over, sat, lo);
     }
-
-    ext.build().expect("dsp16 extension compiles")
+    inst vshl(a: gpr, b: gpr(5), out d: gpr) {
+        d = a << b;
+    }
+    inst vshr(a: gpr, b: gpr(5), out d: gpr) {
+        d = a >> b;
+    }"],
+    )
 }
 
 /// `csamult`: a carry-save sequential-multiplier step unit (the
@@ -403,92 +277,45 @@ pub fn dsp16() -> ExtensionSet {
 /// * `mres d` — resolve the pair with a `TIE_add`
 /// * `mclr`
 pub fn csa_mult() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("csamult");
-    let ssum = ext.state("ssum", 32).expect("state");
-    let scarry = ext.state("scarry", 32).expect("state");
-
-    let mut g = DfGraph::new();
-    let m = g.input("m", 32);
-    let bit = g.input("bit", 1);
-    let s_in = g.input("ssum", 32);
-    let c_in = g.input("scarry", 32);
-    let zero = g.constant(0, 32).expect("graph");
-    let masked = g.node(PrimOp::Mux, 32, &[bit, m, zero]).expect("graph");
-    let ns = g
-        .node(PrimOp::TieCsaSum, 32, &[s_in, c_in, masked])
-        .expect("graph");
-    let nc = g
-        .node(PrimOp::TieCsaCarry, 32, &[s_in, c_in, masked])
-        .expect("graph");
-    g.output(ns);
-    g.output(nc);
-    ext.instruction("mstep", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_input(InputBind::State(ssum))
-        .expect("bind")
-        .bind_input(InputBind::State(scarry))
-        .expect("bind")
-        .bind_output(OutputBind::State(ssum))
-        .expect("bind")
-        .bind_output(OutputBind::State(scarry))
-        .expect("bind");
-
-    let mut g = DfGraph::new();
-    let s_in = g.input("ssum", 32);
-    let c_in = g.input("scarry", 32);
-    let zero = g.constant(0, 32).expect("graph");
-    let sum = g
-        .node(PrimOp::TieAdd, 32, &[s_in, c_in, zero])
-        .expect("graph");
-    g.output(sum);
-    ext.instruction("mres", g)
-        .expect("inst")
-        .bind_input(InputBind::State(ssum))
-        .expect("bind")
-        .bind_input(InputBind::State(scarry))
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-
-    let mut g = DfGraph::new();
-    let zero = g.constant(0, 32).expect("graph");
-    g.output(zero);
-    g.output(zero);
-    ext.instruction("mclr", g)
-        .expect("inst")
-        .bind_output(OutputBind::State(ssum))
-        .expect("bind")
-        .bind_output(OutputBind::State(scarry))
-        .expect("bind");
-
-    ext.build().expect("csamult extension compiles")
+    tie(
+        "csamult",
+        &["
+    state ssum : 32;
+    state scarry : 32;
+    inst mstep(m: gpr, bit: gpr(1), ssum: state(ssum), scarry: state(scarry),
+               out nsum: state(ssum), out ncarry: state(scarry)) {
+        z : 32 = 0;
+        masked = mux(bit, m, z);
+        nsum = csa_sum(ssum, scarry, masked);
+        ncarry = csa_carry(ssum, scarry, masked);
+    }
+    inst mres(ssum: state(ssum), scarry: state(scarry), out d: gpr) {
+        z : 32 = 0;
+        d : 32 = add3(ssum, scarry, z);
+    }
+    inst mclr(out nsum: state(ssum), out ncarry: state(scarry)) {
+        z : 32 = 0;
+        nsum = z;
+        ncarry = z;
+    }"],
+    )
 }
 
 /// `tmul16`: `TIE_mult` coverage — low and high halves of a 16×16
 /// product.
 pub fn tmul16() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("tmul16");
-    for (name, lsb) in [("tmullo", 0u8), ("tmulhi", 16u8)] {
-        let mut g = DfGraph::new();
-        let a = g.input("a", 16);
-        let b = g.input("b", 16);
-        let p = g.node(PrimOp::TieMult, 32, &[a, b]).expect("graph");
-        let part = g.node(PrimOp::Slice { lsb }, 16, &[p]).expect("graph");
-        g.output(part);
-        ext.instruction(name, g)
-            .expect("inst")
-            .bind_input(InputBind::GprS)
-            .expect("bind")
-            .bind_input(InputBind::GprT)
-            .expect("bind")
-            .bind_output(OutputBind::Gpr)
-            .expect("bind");
+    tie(
+        "tmul16",
+        &["
+    inst tmullo(a: gpr(16), b: gpr(16), out d: gpr) {
+        p = tmul(a, b);
+        d = slice(p, 0, 16);
     }
-    ext.build().expect("tmul16 extension compiles")
+    inst tmulhi(a: gpr(16), b: gpr(16), out d: gpr) {
+        p = tmul(a, b);
+        d = slice(p, 16, 16);
+    }"],
+    )
 }
 
 /// `wide64`: a 64-bit signature register (wide custom-register +
@@ -498,85 +325,40 @@ pub fn tmul16() -> ExtensionSet {
 /// * `wpar d` — parity of `w`
 /// * `wclr`
 pub fn wide64() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("wide64");
-    let w = ext.state("w", 64).expect("state");
-
-    let mut g = DfGraph::new();
-    let a = g.input("a", 32);
-    let w_in = g.input("w", 64);
-    let rep = g
-        .node(PrimOp::Pack { lsb: 32 }, 64, &[a, a])
-        .expect("graph");
-    let nx = g.node(PrimOp::Xor, 64, &[w_in, rep]).expect("graph");
-    g.output(nx);
-    ext.instruction("wacc", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::State(w))
-        .expect("bind")
-        .bind_output(OutputBind::State(w))
-        .expect("bind");
-
-    let mut g = DfGraph::new();
-    let w_in = g.input("w", 64);
-    let par = g.node(PrimOp::RedXor, 1, &[w_in]).expect("graph");
-    g.output(par);
-    ext.instruction("wpar", g)
-        .expect("inst")
-        .bind_input(InputBind::State(w))
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-
-    let mut g = DfGraph::new();
-    let zero = g.constant(0, 64).expect("graph");
-    g.output(zero);
-    ext.instruction("wclr", g)
-        .expect("inst")
-        .bind_output(OutputBind::State(w))
-        .expect("bind");
-
-    ext.build().expect("wide64 extension compiles")
+    tie(
+        "wide64",
+        &["
+    state w : 64;
+    inst wacc(a: gpr, w: state(w), out next: state(w)) {
+        rep = pack(a, a, 32);
+        next = w ^ rep;
+    }
+    inst wpar(w: state(w), out d: gpr) {
+        d = redxor(w);
+    }
+    inst wclr(out next: state(w)) {
+        next = 0;
+    }"],
+    )
 }
 
 /// `simd4`: a packed 4×8-bit SIMD adder (`add4` workload).
 ///
 /// * `add4x8 d, a, b` — four independent byte sums, no cross-lane carry
 pub fn simd4() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("simd4");
-    let mut g = DfGraph::new();
-    let a = g.input("a", 32);
-    let b = g.input("b", 32);
-    let mut sums = Vec::new();
-    for k in 0..4u8 {
-        let ak = g
-            .node(PrimOp::Slice { lsb: 8 * k }, 8, &[a])
-            .expect("graph");
-        let bk = g
-            .node(PrimOp::Slice { lsb: 8 * k }, 8, &[b])
-            .expect("graph");
-        sums.push(g.node(PrimOp::Add, 8, &[ak, bk]).expect("graph"));
-    }
-    let p01 = g
-        .node(PrimOp::Pack { lsb: 8 }, 16, &[sums[0], sums[1]])
-        .expect("graph");
-    let p012 = g
-        .node(PrimOp::Pack { lsb: 16 }, 24, &[p01, sums[2]])
-        .expect("graph");
-    let out = g
-        .node(PrimOp::Pack { lsb: 24 }, 32, &[p012, sums[3]])
-        .expect("graph");
-    g.output(out);
-    ext.instruction("add4x8", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-    ext.build().expect("simd4 extension compiles")
+    tie(
+        "simd4",
+        &["
+    inst add4x8(a: gpr, b: gpr, out d: gpr) {
+        s0 : 8 = slice(a, 0, 8) + slice(b, 0, 8);
+        s1 : 8 = slice(a, 8, 8) + slice(b, 8, 8);
+        s2 : 8 = slice(a, 16, 8) + slice(b, 16, 8);
+        s3 : 8 = slice(a, 24, 8) + slice(b, 24, 8);
+        p01 = pack(s0, s1, 8);
+        p012 = pack(p01, s2, 16);
+        d = pack(p012, s3, 24);
+    }"],
+    )
 }
 
 /// `sortpair`: compare-and-order unit for sorting kernels.
@@ -585,39 +367,19 @@ pub fn simd4() -> ExtensionSet {
 ///   the `min` custom register
 /// * `rdmin d` — read the latched minimum
 pub fn sortpair() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("sortpair");
-    let min = ext.state("min", 32).expect("state");
-
-    let mut g = DfGraph::new();
-    let a = g.input("a", 32);
-    let b = g.input("b", 32);
-    let lt = g.node(PrimOp::CmpLtu, 1, &[a, b]).expect("graph");
-    let mx = g.node(PrimOp::Mux, 32, &[lt, b, a]).expect("graph");
-    let mn = g.node(PrimOp::Mux, 32, &[lt, a, b]).expect("graph");
-    g.output(mx);
-    g.output(mn);
-    ext.instruction("cmpx", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind")
-        .bind_output(OutputBind::State(min))
-        .expect("bind");
-
-    let mut g = DfGraph::new();
-    let m_in = g.input("min", 32);
-    g.output(m_in);
-    ext.instruction("rdmin", g)
-        .expect("inst")
-        .bind_input(InputBind::State(min))
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-
-    ext.build().expect("sortpair extension compiles")
+    tie(
+        "sortpair",
+        &["
+    state min : 32;
+    inst cmpx(a: gpr, b: gpr, out d: gpr, out lo: state(min)) {
+        lt = ltu(a, b);
+        d = mux(lt, b, a);
+        lo = mux(lt, a, b);
+    }
+    inst rdmin(min: state(min), out d: gpr) {
+        d = min;
+    }"],
+    )
 }
 
 /// `blend8`: an 8-bit alpha blender (`alphablend` workload):
@@ -626,42 +388,21 @@ pub fn sortpair() -> ExtensionSet {
 /// * `setalpha a`
 /// * `blend d, a, b`
 pub fn blend8() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("blend8");
-    let alpha = ext.state("alpha", 8).expect("state");
-
-    let mut g = DfGraph::new();
-    let a = g.input("a", 8);
-    g.output(a);
-    ext.instruction("setalpha", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_output(OutputBind::State(alpha))
-        .expect("bind");
-
-    let mut g = DfGraph::new();
-    let a = g.input("a", 8);
-    let b = g.input("b", 8);
-    let al = g.input("alpha", 8);
-    let p1 = g.node(PrimOp::Mul, 16, &[a, al]).expect("graph");
-    let c255 = g.constant(255, 8).expect("graph");
-    let ia = g.node(PrimOp::Sub, 8, &[c255, al]).expect("graph");
-    let p2 = g.node(PrimOp::Mul, 16, &[b, ia]).expect("graph");
-    let s = g.node(PrimOp::Add, 16, &[p1, p2]).expect("graph");
-    let out = g.node(PrimOp::Slice { lsb: 8 }, 8, &[s]).expect("graph");
-    g.output(out);
-    ext.instruction("blend", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_input(InputBind::State(alpha))
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-
-    ext.build().expect("blend8 extension compiles")
+    tie(
+        "blend8",
+        &["
+    state alpha : 8;
+    inst setalpha(a: gpr(8), out next: state(alpha)) {
+        next = a;
+    }
+    inst blend(a: gpr(8), b: gpr(8), alpha: state(alpha), out d: gpr) {
+        p1 = a * alpha;
+        ia = 255 - alpha;
+        p2 = b * ia;
+        s : 16 = p1 + p2;
+        d = slice(s, 8, 8);
+    }"],
+    )
 }
 
 /// Pseudo-DES S-box contents: two fixed, data-rich 64-entry 4-bit tables.
@@ -679,32 +420,21 @@ pub(crate) fn des_sbox(which: usize, index: u64) -> u64 {
 ///
 /// * `dsbox d, a`
 pub fn sbox12() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("sbox12");
-    let mut g = DfGraph::new();
-    let x = g.input("x", 12);
-    let t0 =
-        g.add_table(LookupTable::new((0..64).map(|i| des_sbox(0, i)).collect(), 4).expect("table"));
-    let t1 =
-        g.add_table(LookupTable::new((0..64).map(|i| des_sbox(1, i)).collect(), 4).expect("table"));
-    let lo = g.node(PrimOp::Slice { lsb: 0 }, 6, &[x]).expect("graph");
-    let hi = g.node(PrimOp::Slice { lsb: 6 }, 6, &[x]).expect("graph");
-    let s0 = g
-        .node(PrimOp::TableLookup { table_index: t0 }, 4, &[lo])
-        .expect("graph");
-    let s1 = g
-        .node(PrimOp::TableLookup { table_index: t1 }, 4, &[hi])
-        .expect("graph");
-    let out = g
-        .node(PrimOp::Pack { lsb: 4 }, 8, &[s0, s1])
-        .expect("graph");
-    g.output(out);
-    ext.instruction("dsbox", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-    ext.build().expect("sbox12 extension compiles")
+    tie(
+        "sbox12",
+        &[
+            &table("sbox0", 4, (0..64).map(|i| des_sbox(0, i))),
+            &table("sbox1", 4, (0..64).map(|i| des_sbox(1, i))),
+            "
+    inst dsbox(x: gpr(12), out d: gpr) {
+        lo = slice(x, 0, 6);
+        hi = slice(x, 6, 6);
+        s0 = sbox0[lo];
+        s1 = sbox1[hi];
+        d = pack(s0, s1, 4);
+    }",
+        ],
+    )
 }
 
 /// `tie_alu`: stateless three-operand TIE arithmetic — the fused modules
@@ -717,112 +447,67 @@ pub fn sbox12() -> ExtensionSet {
 /// * `add3i d, a, b, imm` — `d = a + b + imm` (TIE_add)
 /// * `csa3s d, a, b, imm` / `csa3c d, a, b, imm` — carry-save sum/carry
 pub fn tie_alu() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("tie_alu");
-    let specs: [(&str, PrimOp, u8); 4] = [
-        ("maci", PrimOp::TieMac, 32),
-        ("add3i", PrimOp::TieAdd, 32),
-        ("csa3s", PrimOp::TieCsaSum, 32),
-        ("csa3c", PrimOp::TieCsaCarry, 32),
-    ];
-    for (name, op, w) in specs {
-        let mut g = DfGraph::new();
-        let a = g.input("a", w);
-        let b = g.input("b", w);
-        let imm = g.input("imm", w);
-        let out = g.node(op, w, &[a, b, imm]).expect("graph");
-        g.output(out);
-        ext.instruction(name, g)
-            .expect("inst")
-            .bind_input(InputBind::GprS)
-            .expect("bind")
-            .bind_input(InputBind::GprT)
-            .expect("bind")
-            .bind_input(InputBind::Imm)
-            .expect("bind")
-            .bind_output(OutputBind::Gpr)
-            .expect("bind");
+    tie(
+        "tie_alu",
+        &["
+    inst maci(a: gpr, b: gpr, imm: imm(32), out d: gpr) {
+        d : 32 = mac(a, b, imm);
+    }
+    inst add3i(a: gpr, b: gpr, imm: imm(32), out d: gpr) {
+        d : 32 = add3(a, b, imm);
+    }
+    inst csa3s(a: gpr, b: gpr, imm: imm(32), out d: gpr) {
+        d : 32 = csa_sum(a, b, imm);
+    }
+    inst csa3c(a: gpr, b: gpr, imm: imm(32), out d: gpr) {
+        d : 32 = csa_carry(a, b, imm);
     }
     // A near-empty custom instruction: one wire-level pass-through. Its
     // executions carry GPR coupling (n_CI) with almost no combinational
     // hardware, separating the side-effect coefficient from the
     // logic/mux category.
-    let mut g = DfGraph::new();
-    let a = g.input("a", 32);
-    let out = g.node(PrimOp::Slice { lsb: 0 }, 32, &[a]).expect("graph");
-    g.output(out);
-    ext.instruction("cpass", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-
-    ext.build().expect("tie_alu extension compiles")
+    inst cpass(a: gpr, out d: gpr) {
+        d = slice(a, 0, 32);
+    }"],
+    )
 }
 
 /// `mul32c`: a full-width 32-bit custom multiplier (`cmul d, a, b`).
 /// Gives the characterization suite the general-multiplier category at
 /// `f(C) = 1`, complementing the 8- and 16-bit instances elsewhere.
 pub fn mul32c() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("mul32c");
-    let mut g = DfGraph::new();
-    let a = g.input("a", 32);
-    let b = g.input("b", 32);
-    let m = g.node(PrimOp::Mul, 32, &[a, b]).expect("graph");
-    g.output(m);
-    ext.instruction("cmul", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-    ext.build().expect("mul32c extension compiles")
+    tie(
+        "mul32c",
+        &["
+    inst cmul(a: gpr, b: gpr, out d: gpr) {
+        d : 32 = a * b;
+    }"],
+    )
 }
 
 /// `bigtable`: a 256-entry × 16-bit lookup unit (`tlu d, a`) — a
 /// sine/companding-style table far larger than the GF and S-box tables,
 /// giving the table category a high-complexity instance.
 pub fn bigtable() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("bigtable");
-    let mut g = DfGraph::new();
-    let a = g.input("a", 8);
-    let entries: Vec<u64> = (0..256u64).map(|i| (i * i * 257 / 64) & 0xffff).collect();
-    let t = g.add_table(LookupTable::new(entries, 16).expect("table"));
-    let out = g
-        .node(PrimOp::TableLookup { table_index: t }, 16, &[a])
-        .expect("graph");
-    g.output(out);
-    ext.instruction("tlu", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-    ext.build().expect("bigtable extension compiles")
+    tie(
+        "bigtable",
+        &[
+            &table(
+                "curve",
+                16,
+                (0..256u64).map(|i| (i * i * 257 / 64) & 0xffff),
+            ),
+            "
+    inst tlu(a: gpr(8), out d: gpr) {
+        d = curve[a];
+    }",
+        ],
+    )
 }
 
 /// `absdiff`: unsigned absolute difference (`gcd` workload).
 pub fn absdiff_ext() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("absdiff");
-    let mut g = DfGraph::new();
-    let a = g.input("a", 32);
-    let b = g.input("b", 32);
-    let lt = g.node(PrimOp::CmpLtu, 1, &[a, b]).expect("graph");
-    let d1 = g.node(PrimOp::Sub, 32, &[a, b]).expect("graph");
-    let d2 = g.node(PrimOp::Sub, 32, &[b, a]).expect("graph");
-    let out = g.node(PrimOp::Mux, 32, &[lt, d2, d1]).expect("graph");
-    g.output(out);
-    ext.instruction("absdiff", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-    ext.build().expect("absdiff extension compiles")
+    tie("absdiff", &[ABSDIFF])
 }
 
 /// `line`: Bresenham helpers for the `drawline` workload: unsigned
@@ -831,42 +516,19 @@ pub fn absdiff_ext() -> ExtensionSet {
 /// * `absdiff d, a, b`
 /// * `sgnsel d, a, b` — `+1` if `a < b` (signed), else `-1`
 pub fn line_ext() -> ExtensionSet {
-    let mut ext = ExtensionBuilder::new("line");
-    let mut g = DfGraph::new();
-    let a = g.input("a", 32);
-    let b = g.input("b", 32);
-    let lt = g.node(PrimOp::CmpLtu, 1, &[a, b]).expect("graph");
-    let d1 = g.node(PrimOp::Sub, 32, &[a, b]).expect("graph");
-    let d2 = g.node(PrimOp::Sub, 32, &[b, a]).expect("graph");
-    let out = g.node(PrimOp::Mux, 32, &[lt, d2, d1]).expect("graph");
-    g.output(out);
-    ext.instruction("absdiff", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-
-    let mut g = DfGraph::new();
-    let a = g.input("a", 32);
-    let b = g.input("b", 32);
-    let lt = g.node(PrimOp::CmpLts, 1, &[a, b]).expect("graph");
-    let plus = g.constant(1, 32).expect("graph");
-    let minus = g.constant(0xffff_ffff, 32).expect("graph");
-    let out = g.node(PrimOp::Mux, 32, &[lt, plus, minus]).expect("graph");
-    g.output(out);
-    ext.instruction("sgnsel", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-
-    ext.build().expect("line extension compiles")
+    tie(
+        "line",
+        &[
+            ABSDIFF,
+            "
+    inst sgnsel(a: gpr, b: gpr, out d: gpr) {
+        lt = lts(a, b);
+        plus : 32 = 1;
+        minus : 32 = 0xffffffff;
+        d = mux(lt, plus, minus);
+    }",
+        ],
+    )
 }
 
 #[cfg(test)]

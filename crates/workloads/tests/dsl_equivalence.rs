@@ -1,5 +1,5 @@
-//! Differential tests: extensions written in the TIE language must behave
-//! identically to their builder-API definitions — same architectural
+//! Differential tests: independently written TIE sources must behave
+//! identically to the library definitions in `exts` — same architectural
 //! results and same per-execution resource accounting, so the energy flow
 //! cannot tell them apart.
 

@@ -381,3 +381,41 @@ fn single_extension_change_reevaluates_only_the_missing_candidate() {
     assert_eq!(out.reused, 3);
     assert_eq!(counting.pricings(), 4, "all four candidates still priced");
 }
+
+/// The `Debug` form of every built-in extension set, pinned by
+/// fingerprint. `candidate_key` hashes this same form, so a set that
+/// changes structure — or merely its `Debug` text — would also turn every
+/// persisted DSE cache cold.
+#[test]
+fn builtin_extension_sets_keep_their_fingerprints() {
+    let pinned: [(&str, emx::tie::ExtensionSet, u64); 20] = [
+        ("mac16", exts::mac16(), 0xe201c25bd9fea0aa),
+        ("mac8", exts::mac8(), 0x31dcc78a50d12b5f),
+        ("mac16x2", exts::mac16x2(), 0x546f1c4c8e6068b5),
+        ("gf16", exts::gf16(), 0xbcc858f06d1768de),
+        ("gf16_mac", exts::gf16_mac(), 0xe615bdd50ce72644),
+        ("rs_wide", exts::rs_wide(), 0x2f114ced7f10b04c),
+        ("rs_full", exts::rs_full(), 0xd814a86676e360a5),
+        ("dsp16", exts::dsp16(), 0xb4076cbf77bb47fb),
+        ("csa_mult", exts::csa_mult(), 0x1c21a97d3105ab62),
+        ("tmul16", exts::tmul16(), 0xb35b70b79f40cdd5),
+        ("wide64", exts::wide64(), 0xd05013fd21ed32bb),
+        ("simd4", exts::simd4(), 0x144ac46c83cacb7e),
+        ("sortpair", exts::sortpair(), 0xc577b53c0dd4de88),
+        ("blend8", exts::blend8(), 0x2957c3f3060cd272),
+        ("sbox12", exts::sbox12(), 0x0c11b5f786ce75a4),
+        ("tie_alu", exts::tie_alu(), 0xb6f92b98e1f562e7),
+        ("mul32c", exts::mul32c(), 0x0d92c5dc2b1b9799),
+        ("bigtable", exts::bigtable(), 0x156cd836d596e0ed),
+        ("absdiff_ext", exts::absdiff_ext(), 0x5aab792c89fd76e7),
+        ("line_ext", exts::line_ext(), 0xfc00901ed22eae1a),
+    ];
+    for (name, set, fingerprint) in pinned {
+        let debug = format!("{set:?}");
+        assert_eq!(
+            dse::content_fingerprint(debug.as_bytes()),
+            fingerprint,
+            "exts::{name} changed its Debug form"
+        );
+    }
+}

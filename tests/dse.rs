@@ -16,6 +16,7 @@ use emx::dse::fault::CountingEstimator;
 use emx::dse::{self, CandidateSpace, DesignOption, EstimationCache, ShardSpec};
 use emx::obs::Collector;
 use emx::sim::ProcConfig;
+use emx::validate::{fuzz, FuzzConfig};
 use emx::workloads::{exts, suite, Workload};
 
 fn characterization() -> &'static Characterization {
@@ -416,6 +417,82 @@ fn builtin_extension_sets_keep_their_fingerprints() {
             dse::content_fingerprint(debug.as_bytes()),
             fingerprint,
             "exts::{name} changed its Debug form"
+        );
+    }
+}
+
+/// The `Debug` form of each directed training case's extension set,
+/// pinned by fingerprint in `suite::directed_programs` order. These sets
+/// feed the fitted model (`model.txt`), so a changed form is a changed
+/// training suite. Cases without custom hardware carry the empty set.
+#[test]
+fn directed_extension_sets_keep_their_fingerprints() {
+    let pinned: [(&str, u64); 23] = [
+        ("dir_ucf_arith_31i0", 0xa2fe71a157f8d729),
+        ("dir_ucf_load_13i1", 0xa2fe71a157f8d729),
+        ("dir_ucf_shf_22i2", 0xb9b1db76913d01b4),
+        ("dir_shf_load_31i3", 0xf41541d513dc43d8),
+        ("dir_shf_store_13i4", 0x5d77ac672abeba6c),
+        ("dir_tmu_arith_31i5", 0x0043b3f20d779680),
+        ("dir_tmu_load_13i6", 0x385307dd5183d165),
+        ("dir_mul_store_31i7", 0x5bc4c9c264bf26a0),
+        ("dir_mul_brt_13i8", 0x27fae9bc0df2046d),
+        ("dir_tma_arith_22i9", 0x841e56056e283d17),
+        ("dir_tad_bru_31i10", 0xb827548c57d8372d),
+        ("dir_csa_load_31i11", 0xd2db7e311acf76c9),
+        ("dir_tbl_arith_31i12", 0xf583dc2d75bda992),
+        ("dir_tbl_store_13i13", 0x124f6b695787e785),
+        ("dir_icm_load_13i14", 0xa2fe71a157f8d729),
+        ("dir_icm_store_13i15", 0xa2fe71a157f8d729),
+        ("dir_ci_crg_31i16", 0x33ce85e63c5124e4),
+        ("dir_crg_arith_31i17", 0x30aaaa150b36dddc),
+        ("dir_crg_log_13i18", 0x5195d705790c6fe3),
+        ("dir_log_arith_31i19", 0x07c00676ba042b47),
+        ("dir_dcm_arith_31i20", 0xa2fe71a157f8d729),
+        ("dir_dcm_store_13i21", 0xa2fe71a157f8d729),
+        ("dir_dcm_ilk_22i22", 0xa2fe71a157f8d729),
+    ];
+    let directed = suite::directed_programs();
+    assert_eq!(directed.len(), pinned.len());
+    for (w, (name, fingerprint)) in directed.iter().zip(pinned) {
+        assert_eq!(w.name(), name);
+        let debug = format!("{:?}", w.ext());
+        assert_eq!(
+            dse::content_fingerprint(debug.as_bytes()),
+            fingerprint,
+            "directed case {name} changed its extension's Debug form"
+        );
+    }
+}
+
+/// The `Debug` forms of every fuzz case's extension set in the default
+/// campaign and in CI's second-seed campaign, one fingerprint per
+/// campaign over the forms joined by newlines. These sets decide the
+/// fuzz figures of `golden/validate-report.json`.
+#[test]
+fn fuzz_extension_sets_keep_their_fingerprints() {
+    let default = FuzzConfig::default();
+    let pinned = [
+        (default.clone(), 0x15fc7d060c532859),
+        (
+            FuzzConfig {
+                seed: 20_260_807,
+                cases: 250,
+                ..default
+            },
+            0xdd3c1aaf8809acac,
+        ),
+    ];
+    for (config, fingerprint) in pinned {
+        let mut all = String::new();
+        for i in 0..config.cases {
+            all.push_str(&format!("{:?}\n", fuzz::build(&config.case(i)).ext));
+        }
+        assert_eq!(
+            dse::content_fingerprint(all.as_bytes()),
+            fingerprint,
+            "a fuzz case of seed {} changed its extension's Debug form",
+            config.seed
         );
     }
 }

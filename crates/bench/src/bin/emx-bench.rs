@@ -23,7 +23,7 @@
 use std::process::ExitCode;
 
 use emx_bench::compare::{self, DEFAULT_THRESHOLD_PCT};
-use emx_bench::harness::{Bench, BenchOptions};
+use emx_bench::harness::{print_line, Bench, BenchOptions};
 use emx_bench::report::{BenchReport, Environment, PhaseEntry};
 use emx_bench::suites;
 use emx_core::cli::{self, Args};
@@ -83,7 +83,7 @@ fn phase_entries(options: &Options) -> Result<Vec<PhaseEntry>, EmxError> {
     for w in suites::simulator_workloads() {
         let name = format!("phase/{}", w.name());
         if options.bench.list {
-            println!("{name}");
+            print_line(&name);
             continue;
         }
         if let Some(f) = &options.bench.filter {
@@ -98,8 +98,8 @@ fn phase_entries(options: &Options) -> Result<Vec<PhaseEntry>, EmxError> {
             .map_err(|e| {
                 EmxError::internal("bench.phase", format!("workload `{name}` failed: {e}"))
             })?;
-        println!("\n{name} ({} instructions)", profile.steps());
-        println!("{profile}");
+        print_line(format_args!("\n{name} ({} instructions)", profile.steps()));
+        print_line(&profile);
         entries.push(PhaseEntry {
             workload: w.name().to_owned(),
             profile,
@@ -157,7 +157,7 @@ fn run(options: &Options) -> Result<ExitCode, EmxError> {
     let report = BenchReport::new(Environment::capture(), &records, phases);
     if let Some(path) = &options.json {
         std::fs::write(path, report.to_text()).map_err(|e| EmxError::io(path, &e))?;
-        println!("\nbench report written to {path}");
+        print_line(format_args!("\nbench report written to {path}"));
     }
 
     match &options.baseline {

@@ -19,7 +19,9 @@
 //! prints the names without running anything; `--samples N` overrides
 //! every group's sample count.
 
+use std::fmt::Display;
 use std::hint::black_box;
+use std::io::{ErrorKind, Write};
 use std::time::Instant;
 
 use emx_core::cli::Args;
@@ -117,6 +119,22 @@ impl BenchRecord {
     }
 }
 
+/// Writes `line` and a newline to stdout. When stdout is a pipe whose
+/// reader has gone (`--list | head -3`), the process stops quietly with
+/// status 0, where `println!` would panic.
+///
+/// # Panics
+///
+/// Panics on any other stdout write error.
+pub fn print_line(line: impl Display) {
+    if let Err(e) = writeln!(std::io::stdout().lock(), "{line}") {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
 /// Top-level state for one bench binary: options, run counts, and the
 /// measured records.
 pub struct Bench {
@@ -136,7 +154,7 @@ impl Bench {
                 std::process::exit(e.exit_code().into());
             });
         if !options.list {
-            println!("suite: {suite}");
+            print_line(format_args!("suite: {suite}"));
         }
         Bench::with_options(options)
     }
@@ -166,10 +184,10 @@ impl Bench {
     /// Call last in `main`.
     pub fn finish(self) -> Vec<BenchRecord> {
         if !self.options.list {
-            println!(
+            print_line(format_args!(
                 "\n{} benchmark(s) run, {} filtered out",
                 self.ran, self.skipped
-            );
+            ));
         }
         self.records
     }
@@ -224,7 +242,7 @@ impl Group<'_> {
         let full_name = format!("{}/{}", self.name, id);
         let throughput = self.throughput.take();
         if self.bench.options.list {
-            println!("{full_name}");
+            print_line(&full_name);
             return;
         }
         if !self.bench.selected(&full_name) {
@@ -266,7 +284,7 @@ impl Group<'_> {
             let per_sec = elements as f64 / (hist.percentile(50.0).max(1) as f64 / 1e9);
             line.push_str(&format!("  {:.1} Melem/s", per_sec / 1e6));
         }
-        println!("{line}");
+        print_line(&line);
 
         self.bench.records.push(BenchRecord {
             group: self.name.clone(),

@@ -41,6 +41,44 @@ fn list_prints_names_and_runs_nothing() {
     assert!(!stdout.contains("p50"), "{stdout}");
 }
 
+/// `emx-bench --list | head -1`: the reader takes one line and goes
+/// away. Later writes then fail with `BrokenPipe`, which must end the
+/// process quietly rather than in a panic. The listing fits the pipe
+/// buffer, so a second run whose pipe has no reader from the start makes
+/// sure a write does fail.
+#[test]
+fn list_into_a_closed_pipe_stops_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+
+    let dir = temp_dir("pipe");
+    let spawn = |stdout: Stdio| {
+        Command::new(env!("CARGO_BIN_EXE_emx-bench"))
+            .arg("--list")
+            .current_dir(&dir)
+            .stdout(stdout)
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary runs")
+    };
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    let child = spawn(writer.into());
+    let mut first = String::new();
+    BufReader::new(reader)
+        .read_line(&mut first)
+        .expect("one line");
+    assert!(first.contains('/'), "{first:?}");
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let closed = spawn(writer.into());
+    for child in [child, closed] {
+        let out = child.wait_with_output().expect("binary exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{:?}: {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
 #[test]
 fn unknown_flag_is_a_usage_error() {
     let dir = temp_dir("usage");

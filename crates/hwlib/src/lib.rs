@@ -51,6 +51,6 @@ mod table;
 
 pub use category::Category;
 pub use energy::HwEnergyParams;
-pub use graph::{DfGraph, EvalResult, GraphError, NodeDesc, NodeId};
+pub use graph::{DfGraph, EvalResult, GraphError, NodeDesc, NodeId, OpNodeInfo};
 pub use prim::{mask, sext, PrimOp};
 pub use table::{LookupTable, TableError};

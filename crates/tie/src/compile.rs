@@ -1,6 +1,6 @@
 use std::collections::BTreeMap;
 
-use emx_hwlib::{Category, DfGraph, GraphError, PrimOp};
+use emx_hwlib::{Category, DfGraph, GraphError, OpNodeInfo, PrimOp};
 use emx_isa::asm::{Assembler, CustomSignature};
 use emx_isa::{CustomId, Opcode};
 
@@ -88,13 +88,7 @@ impl ExtensionBuilder {
         graph: DfGraph,
     ) -> Result<InstBuilder<'_>, TieError> {
         let name = name.into();
-        let valid = !name.is_empty()
-            && name
-                .chars()
-                .next()
-                .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
-            && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_');
-        if !valid || Opcode::from_mnemonic(&name).is_some() {
+        if !is_identifier(&name) || Opcode::from_mnemonic(&name).is_some() {
             return Err(TieError::BadInstName(name));
         }
         if self.insts.iter().any(|i| i.name == name) {
@@ -258,6 +252,34 @@ impl InstBuilder<'_> {
     }
 }
 
+/// `true` when `name` is one identifier: a letter or `_`, then letters,
+/// digits and `_`.
+pub(crate) fn is_identifier(name: &str) -> bool {
+    let mut chars = name.chars();
+    chars
+        .next()
+        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_')
+        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_')
+}
+
+/// The latency the compiler derives from the critical path through
+/// `graph`'s `op_nodes`, in cycles (≥ 1), when the designer gives none.
+pub(crate) fn derived_latency(graph: &DfGraph, op_nodes: &[OpNodeInfo]) -> u8 {
+    let mut depth = vec![0.0f64; graph.node_count()];
+    let mut max_depth = 0.0f64;
+    for info in op_nodes {
+        let input_depth = info
+            .inputs
+            .iter()
+            .map(|i| depth[i.index()])
+            .fold(0.0f64, f64::max);
+        let d = input_depth + levels(info.op);
+        depth[info.id.index()] = d;
+        max_depth = max_depth.max(d);
+    }
+    ((max_depth / LEVELS_PER_CYCLE).ceil() as u8).max(1)
+}
+
 fn compile_inst(
     pending: PendingInst,
     id: CustomId,
@@ -296,22 +318,8 @@ fn compile_inst(
         });
     }
 
-    // Latency from the critical path (or designer override).
     let op_nodes = graph.op_nodes();
-    let mut depth = vec![0.0f64; graph.node_count()];
-    let mut max_depth = 0.0f64;
-    for info in &op_nodes {
-        let input_depth = info
-            .inputs
-            .iter()
-            .map(|i| depth[i.index()])
-            .fold(0.0f64, f64::max);
-        let d = input_depth + levels(info.op);
-        depth[info.id.index()] = d;
-        max_depth = max_depth.max(d);
-    }
-    let derived = ((max_depth / LEVELS_PER_CYCLE).ceil() as u8).max(1);
-    let latency = latency_override.unwrap_or(derived);
+    let latency = latency_override.unwrap_or_else(|| derived_latency(&graph, &op_nodes));
 
     // Per-execution resource vector over the ten categories: combinational
     // components contribute f(C) per activation; custom-register reads and
@@ -734,11 +742,6 @@ impl<'a> IntoIterator for &'a ExtensionSet {
     fn into_iter(self) -> Self::IntoIter {
         self.iter()
     }
-}
-
-/// Summary of custom-instruction names to ids, useful for diagnostics.
-pub(crate) fn _name_map(set: &ExtensionSet) -> BTreeMap<&str, CustomId> {
-    set.iter().map(|i| (i.name(), i.id())).collect()
 }
 
 #[cfg(test)]

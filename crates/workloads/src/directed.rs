@@ -17,7 +17,9 @@
 //!   add exactly the rows where the two columns move differently,
 //! * custom-hardware stimuli instantiate minimal single-category
 //!   extensions at an index-selected bit-width, so each directed case
-//!   also probes a different point on the complexity axis `f(C)`.
+//!   also probes a different point on the complexity axis `f(C)`. Each
+//!   is a TIE snippet at that width; a case splices its stimuli's
+//!   snippets into one `extension` block for `emx_tie::lang`.
 //!
 //! Two variables are realized as whole-program shapes rather than blocks:
 //! `beta_ucf` moves the program into the uncached fetch region, and
@@ -30,8 +32,8 @@
 //! `emx-coverage` (which knows names, not simulators) can drive it
 //! without a dependency in either direction.
 
-use emx_hwlib::{DfGraph, LookupTable, PrimOp};
-use emx_tie::{ExtensionBuilder, ExtensionSet, InputBind, OutputBind};
+use emx_tie::lang::parse_extension;
+use emx_tie::ExtensionSet;
 
 use crate::Workload;
 
@@ -45,175 +47,18 @@ struct Stimulus {
     /// The block body; `@` is replaced by a unique instance id so label
     /// definitions stay distinct across repeats.
     block: &'static str,
-    /// Adds this stimulus's instruction(s) to the extension under
-    /// construction, at the given operand width.
-    ext: Option<fn(&mut ExtensionBuilder, u8)>,
+    /// The TIE declarations (state, table, instructions) of this
+    /// stimulus's hardware at the given operand width, spliced into the
+    /// case's `extension` block.
+    ext: Option<fn(u8) -> String>,
     /// Whether the block calls the shared `dirsub` leaf.
     uses_sub: bool,
 }
 
-fn ext_gpr_add(ext: &mut ExtensionBuilder, w: u8) {
-    // GPR-coupled custom add: γ_CI signal with only adder/cmp hardware.
-    let mut g = DfGraph::new();
-    let a = g.input("a", w);
-    let b = g.input("b", w);
-    let s = g
-        .node(PrimOp::Add, (w + 1).min(32), &[a, b])
-        .expect("graph");
-    g.output(s);
-    bind_2in_1out(ext, "dgadd", g);
-}
-
-fn ext_mult(ext: &mut ExtensionBuilder, w: u8) {
-    let mut g = DfGraph::new();
-    let a = g.input("a", w);
-    let b = g.input("b", w);
-    let m = g
-        .node(PrimOp::Mul, (2 * w).min(32), &[a, b])
-        .expect("graph");
-    g.output(m);
-    bind_2in_1out(ext, "ddmul", g);
-}
-
-fn ext_addcmp(ext: &mut ExtensionBuilder, w: u8) {
-    let mut g = DfGraph::new();
-    let a = g.input("a", w);
-    let b = g.input("b", w);
-    let m = g.node(PrimOp::MinU, w, &[a, b]).expect("graph");
-    let s = g
-        .node(PrimOp::Add, (w + 1).min(32), &[m, b])
-        .expect("graph");
-    g.output(s);
-    bind_2in_1out(ext, "ddadd", g);
-}
-
-fn ext_logmux(ext: &mut ExtensionBuilder, w: u8) {
-    let mut g = DfGraph::new();
-    let a = g.input("a", w);
-    let b = g.input("b", w);
-    let x = g.node(PrimOp::Xor, w, &[a, b]).expect("graph");
-    let o = g.node(PrimOp::And, w, &[x, a]).expect("graph");
-    g.output(o);
-    bind_2in_1out(ext, "ddxor", g);
-}
-
-fn ext_shift(ext: &mut ExtensionBuilder, w: u8) {
-    let mut g = DfGraph::new();
-    let a = g.input("a", w.max(8));
-    let b = g.input("b", 5);
-    let s = g.node(PrimOp::Shl, w.max(8), &[a, b]).expect("graph");
-    g.output(s);
-    bind_2in_1out(ext, "ddshl", g);
-}
-
-fn ext_creg(ext: &mut ExtensionBuilder, w: u8) {
-    // State-only spin: custom-register traffic with *zero* γ_CI (no GPR
-    // binding), which is what separates δ_creg from the GPR-coupling
-    // coefficient. The state is kept wide (≥ 48 bits) so the *modeled*
-    // per-execution register energy dominates the constant
-    // fetch/decode/control overhead that, for a GPR-free instruction, no
-    // template variable captures — with a narrow state that unmodeled
-    // overhead is a large fraction of the case's energy and the fit
-    // degrades.
-    let w = 48 + (w % 16);
-    let spin = ext.state("dspin_s", w).expect("state");
-    let mut g = DfGraph::new();
-    let s_in = g.input("s", w);
-    let one = g.constant(1, w).expect("graph");
-    let nx = g.node(PrimOp::Add, w, &[s_in, one]).expect("graph");
-    g.output(nx);
-    ext.instruction("ddspin", g)
-        .expect("inst")
-        .bind_input(InputBind::State(spin))
-        .expect("bind")
-        .bind_output(OutputBind::State(spin))
-        .expect("bind");
-}
-
-fn ext_tie_mult(ext: &mut ExtensionBuilder, w: u8) {
-    let mut g = DfGraph::new();
-    let a = g.input("a", w);
-    let b = g.input("b", w);
-    let m = g
-        .node(PrimOp::TieMult, (2 * w).min(32), &[a, b])
-        .expect("graph");
-    g.output(m);
-    bind_2in_1out(ext, "ddtmu", g);
-}
-
-fn ext_tie_mac(ext: &mut ExtensionBuilder, w: u8) {
-    let mut g = DfGraph::new();
-    let a = g.input("a", w);
-    let b = g.input("b", w);
-    let zero = g.constant(0, (2 * w).min(32)).expect("graph");
-    let m = g
-        .node(PrimOp::TieMac, (2 * w).min(32), &[a, b, zero])
-        .expect("graph");
-    g.output(m);
-    bind_2in_1out(ext, "ddtma", g);
-}
-
-fn ext_tie_add(ext: &mut ExtensionBuilder, w: u8) {
-    let mut g = DfGraph::new();
-    let a = g.input("a", w);
-    let b = g.input("b", w);
-    let zero = g.constant(3, w).expect("graph");
-    let s = g
-        .node(PrimOp::TieAdd, (w + 2).min(32), &[a, b, zero])
-        .expect("graph");
-    g.output(s);
-    bind_2in_1out(ext, "ddta", g);
-}
-
-fn ext_tie_csa(ext: &mut ExtensionBuilder, w: u8) {
-    let mut g = DfGraph::new();
-    let a = g.input("a", w);
-    let b = g.input("b", w);
-    let c = g.constant(5, w).expect("graph");
-    let s = g.node(PrimOp::TieCsaSum, w, &[a, b, c]).expect("graph");
-    g.output(s);
-    bind_2in_1out(ext, "ddcs", g);
-
-    let mut g = DfGraph::new();
-    let a = g.input("a", w);
-    let b = g.input("b", w);
-    let c = g.constant(5, w).expect("graph");
-    let cy = g.node(PrimOp::TieCsaCarry, w, &[a, b, c]).expect("graph");
-    g.output(cy);
-    bind_2in_1out(ext, "ddcc", g);
-}
-
-fn ext_table(ext: &mut ExtensionBuilder, w: u8) {
-    // 64-entry table at the index-selected output width.
-    let out_w = w.clamp(4, 16);
-    let entries: Vec<u64> = (0..64u64)
-        .map(|i| (i * 37 + u64::from(w) * 11) % (1 << out_w))
-        .collect();
-    let mut g = DfGraph::new();
-    let a = g.input("a", 6);
-    let t = g.add_table(LookupTable::new(entries, out_w).expect("table"));
-    let o = g
-        .node(PrimOp::TableLookup { table_index: t }, out_w, &[a])
-        .expect("graph");
-    g.output(o);
-
-    ext.instruction("ddtlu", g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
-}
-
-fn bind_2in_1out(ext: &mut ExtensionBuilder, name: &str, g: DfGraph) {
-    ext.instruction(name, g)
-        .expect("inst")
-        .bind_input(InputBind::GprS)
-        .expect("bind")
-        .bind_input(InputBind::GprT)
-        .expect("bind")
-        .bind_output(OutputBind::Gpr)
-        .expect("bind");
+/// `inst NAME(a: gpr(W), b: gpr(W), out d: gpr) { BODY }`: the shape of
+/// most stimuli, two `w`-bit GPR operands and one GPR result.
+fn two_in(name: &str, w: u8, body: &str) -> String {
+    format!("inst {name}(a: gpr({w}), b: gpr({w}), out d: gpr) {{ {body} }}\n")
 }
 
 /// The stimulus catalogue, keyed by template-variable name. Register
@@ -283,77 +128,123 @@ fn stimulus(var: &str) -> Option<Stimulus> {
             tag: "ci",
             loop_setup: "",
             block: "dgadd a4, a3, a6\ndgadd a5, a4, a6\n",
-            ext: Some(ext_gpr_add),
+            // GPR-coupled custom add: γ_CI signal with only adder/cmp
+            // hardware.
+            ext: Some(|w| two_in("dgadd", w, &format!("d : {} = a + b;", (w + 1).min(32)))),
             uses_sub: false,
         },
         "delta_mult" => Stimulus {
             tag: "mul",
             loop_setup: "",
             block: "ddmul a4, a3, a6\nddmul a5, a4, a6\n",
-            ext: Some(ext_mult),
+            ext: Some(|w| two_in("ddmul", w, &format!("d : {} = a * b;", (2 * w).min(32)))),
             uses_sub: false,
         },
         "delta_addcmp" => Stimulus {
             tag: "add",
             loop_setup: "",
             block: "ddadd a4, a3, a6\nddadd a5, a4, a6\n",
-            ext: Some(ext_addcmp),
+            ext: Some(|w| {
+                let body = format!("m : {w} = minu(a, b); d : {} = m + b;", (w + 1).min(32));
+                two_in("ddadd", w, &body)
+            }),
             uses_sub: false,
         },
         "delta_logmux" => Stimulus {
             tag: "log",
             loop_setup: "",
             block: "ddxor a4, a3, a6\nddxor a5, a4, a6\n",
-            ext: Some(ext_logmux),
+            ext: Some(|w| two_in("ddxor", w, &format!("x : {w} = a ^ b; d : {w} = x & a;"))),
             uses_sub: false,
         },
         "delta_shift" => Stimulus {
             tag: "shf",
             loop_setup: "andi a7, a3, 7\n",
             block: "ddshl a4, a3, a7\nddshl a5, a4, a7\n",
-            ext: Some(ext_shift),
+            ext: Some(|w| {
+                let w = w.max(8);
+                format!("inst ddshl(a: gpr({w}), b: gpr(5), out d: gpr) {{ d : {w} = a << b; }}\n")
+            }),
             uses_sub: false,
         },
         "delta_creg" => Stimulus {
             tag: "crg",
             loop_setup: "",
             block: "ddspin\nddspin\nddspin\n",
-            ext: Some(ext_creg),
+            // State-only spin: custom-register traffic with *zero* γ_CI
+            // (no GPR binding), which is what separates δ_creg from the
+            // GPR-coupling coefficient. The state is kept wide (≥ 48
+            // bits) so the *modeled* per-execution register energy
+            // dominates the constant fetch/decode/control overhead that,
+            // for a GPR-free instruction, no template variable captures —
+            // with a narrow state that unmodeled overhead is a large
+            // fraction of the case's energy and the fit degrades.
+            ext: Some(|w| {
+                let w = 48 + (w % 16);
+                format!(
+                    "state dspin_s : {w};\n\
+                     inst ddspin(s: state(dspin_s), out next: state(dspin_s)) {{ \
+                     one : {w} = 1; next : {w} = s + one; }}\n"
+                )
+            }),
             uses_sub: false,
         },
         "delta_tie_mult" => Stimulus {
             tag: "tmu",
             loop_setup: "",
             block: "ddtmu a4, a3, a6\nddtmu a5, a4, a6\n",
-            ext: Some(ext_tie_mult),
+            ext: Some(|w| {
+                let p = (2 * w).min(32);
+                two_in("ddtmu", w, &format!("d : {p} = tmul(a, b);"))
+            }),
             uses_sub: false,
         },
         "delta_tie_mac" => Stimulus {
             tag: "tma",
             loop_setup: "",
             block: "ddtma a4, a3, a6\nddtma a5, a4, a6\n",
-            ext: Some(ext_tie_mac),
+            ext: Some(|w| {
+                let p = (2 * w).min(32);
+                two_in("ddtma", w, &format!("z : {p} = 0; d : {p} = mac(a, b, z);"))
+            }),
             uses_sub: false,
         },
         "delta_tie_add" => Stimulus {
             tag: "tad",
             loop_setup: "",
             block: "ddta a4, a3, a6\nddta a5, a4, a6\n",
-            ext: Some(ext_tie_add),
+            ext: Some(|w| {
+                let body = format!("c : {w} = 3; d : {} = add3(a, b, c);", (w + 2).min(32));
+                two_in("ddta", w, &body)
+            }),
             uses_sub: false,
         },
         "delta_tie_csa" => Stimulus {
             tag: "csa",
             loop_setup: "",
             block: "ddcs a4, a3, a6\nddcc a5, a3, a6\n",
-            ext: Some(ext_tie_csa),
+            ext: Some(|w| {
+                let body = |f: &str| format!("c : {w} = 5; d : {w} = {f}(a, b, c);");
+                two_in("ddcs", w, &body("csa_sum")) + &two_in("ddcc", w, &body("csa_carry"))
+            }),
             uses_sub: false,
         },
         "delta_table" => Stimulus {
             tag: "tbl",
             loop_setup: "andi a7, a3, 63\n",
             block: "ddtlu a4, a7\nddtlu a5, a4\n",
-            ext: Some(ext_table),
+            // 64-entry table at the index-selected output width.
+            ext: Some(|w| {
+                let out = w.clamp(4, 16);
+                let entries: Vec<String> = (0..64u64)
+                    .map(|i| ((i * 37 + u64::from(w) * 11) % (1 << out)).to_string())
+                    .collect();
+                format!(
+                    "table ddtab[64] : {out} = {{ {} }};\n\
+                     inst ddtlu(a: gpr(6), out d: gpr) {{ d : {out} = ddtab[a]; }}\n",
+                    entries.join(", ")
+                )
+            }),
             uses_sub: false,
         },
         _ => return None,
@@ -367,23 +258,21 @@ fn width_for(index: usize) -> u8 {
     [8, 16, 24, 12, 32][index % 5]
 }
 
-/// Builds the merged extension for up to two stimuli (empty when neither
-/// needs hardware).
+/// Compiles the merged extension for up to two stimuli (empty when
+/// neither needs hardware); a stimulus shared by both is declared once.
 fn build_ext(name: &str, width: u8, stims: [&Stimulus; 2]) -> ExtensionSet {
-    if stims.iter().all(|s| s.ext.is_none()) {
-        return ExtensionSet::empty();
-    }
-    let mut ext = ExtensionBuilder::new(name);
-    let mut added: Vec<fn(&mut ExtensionBuilder, u8)> = Vec::new();
-    for s in stims {
-        if let Some(add) = s.ext {
-            if !added.contains(&add) {
-                add(&mut ext, width);
-                added.push(add);
-            }
+    let mut parts: Vec<String> = Vec::new();
+    for tie in stims.iter().filter_map(|s| s.ext) {
+        let part = tie(width);
+        if !parts.contains(&part) {
+            parts.push(part);
         }
     }
-    ext.build().expect("directed extension compiles")
+    if parts.is_empty() {
+        return ExtensionSet::empty();
+    }
+    let src = format!("extension {name} {{\n{}}}", parts.concat());
+    parse_extension(&src).unwrap_or_else(|e| panic!("directed extension `{name}`: {e}"))
 }
 
 /// Expands `block` `repeats` times with unique label ids.

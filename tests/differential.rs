@@ -29,7 +29,9 @@
 //! regenerate_iss_corpus` and review the diff (tests/README.md).
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
+use emx::core::EnergyMacroModel;
 use emx::isa::Reg;
 use emx::obs::json::Value;
 use emx::sim::{
@@ -721,5 +723,81 @@ proptest! {
         let mut sim = Interp::new(w.program(), w.ext(), ProcConfig::default());
         let stats = sim.run(BUDGET).expect("halts").stats;
         prop_assert_eq!(ExecStats::from_json(&stats.to_json()), Ok(stats));
+    }
+}
+
+/// Every extension set a program could carry without executing it: the
+/// 20 built-ins and the directed training cases' sets.
+fn unexecuted_sets() -> Vec<emx::tie::ExtensionSet> {
+    use emx::workloads::exts;
+    let mut sets = vec![
+        exts::mac16(),
+        exts::mac8(),
+        exts::mac16x2(),
+        exts::gf16(),
+        exts::gf16_mac(),
+        exts::rs_wide(),
+        exts::rs_full(),
+        exts::dsp16(),
+        exts::csa_mult(),
+        exts::tmul16(),
+        exts::wide64(),
+        exts::simd4(),
+        exts::sortpair(),
+        exts::blend8(),
+        exts::sbox12(),
+        exts::tie_alu(),
+        exts::mul32c(),
+        exts::bigtable(),
+        exts::absdiff_ext(),
+        exts::line_ext(),
+    ];
+    sets.extend(
+        suite::directed_programs()
+            .iter()
+            .filter(|w| !w.ext().is_empty())
+            .map(|w| w.ext().clone()),
+    );
+    sets
+}
+
+proptest! {
+    /// Metamorphic law: an extension set the program never executes
+    /// leaves the base ISA's result alone. The macro-model energy is
+    /// bit-identical to the one with no extension, and so is every
+    /// counter of the statistics. The one field that differs is the
+    /// shape of `custom_counts`, which holds one count per instruction
+    /// of the set: here all zero, where the base run's vector is empty.
+    #[test]
+    fn never_executed_extensions_leave_stats_and_energy_unchanged(
+        seeds in proptest::collection::vec(-1000i32..1000, 10),
+        body in proptest::collection::vec(body_op(), 1..24),
+        iters in 1u32..24,
+    ) {
+        static SETS: OnceLock<Vec<emx::tie::ExtensionSet>> = OnceLock::new();
+        static MODEL: OnceLock<EnergyMacroModel> = OnceLock::new();
+        let model = MODEL.get_or_init(|| {
+            EnergyMacroModel::from_text(include_str!("../model.txt")).expect("committed model parses")
+        });
+        let (_, w) = loop_program(&seeds, &body, iters);
+        let base = model
+            .estimate(w.program(), &emx::tie::ExtensionSet::empty(), ProcConfig::default())
+            .expect("halts");
+        for ext in SETS.get_or_init(unexecuted_sets) {
+            let with = model
+                .estimate(w.program(), ext, ProcConfig::default())
+                .expect("halts");
+            let expected = ExecStats {
+                custom_counts: vec![0; ext.len()],
+                ..base.stats.clone()
+            };
+            prop_assert_eq!(&with.stats, &expected, "{}: stats", ext.name());
+            prop_assert_eq!(
+                with.energy.as_picojoules().to_bits(),
+                base.energy.as_picojoules().to_bits(),
+                "{}: energy",
+                ext.name()
+            );
+        }
     }
 }

@@ -200,3 +200,52 @@ fn uncached_programs_pay_the_fetch_penalty() {
     assert_eq!(uncached.stats().icache_misses, 0);
     assert!(uncached.stats().uncached_fetches > 200);
 }
+
+/// The per-application rows EXPERIMENTS.md quotes for Table II and
+/// Fig. 4 are the numbers `emx-figures` prints, as committed in
+/// `golden/figures/` (which CI compares with the binary's output). For a
+/// row `| name | n | n | … |`, the golden line starting with `name` must
+/// print the row's first `count` numbers: estimate and reference, and
+/// for Table II the error too.
+#[test]
+fn experiments_quotes_the_figure_goldens() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    let numbers = |line: &str, count: usize| -> Vec<f64> {
+        line.replace('−', "-")
+            .split(|c: char| c.is_whitespace() || c == '|')
+            .filter_map(|t| t.parse::<f64>().ok())
+            .take(count)
+            .collect()
+    };
+    for (section, golden, count) in [("## Table II", "table2", 3), ("## Fig. 4", "fig4", 2)] {
+        let path = root.join(format!("tests/golden/figures/{golden}.txt"));
+        let golden = std::fs::read_to_string(&path).expect("figure golden");
+        let rows = doc
+            .split(section)
+            .nth(1)
+            .expect("section present")
+            .lines()
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'));
+        let mut checked = 0;
+        for row in rows {
+            let name = row.split('|').nth(1).unwrap_or("").trim();
+            let printed = golden
+                .lines()
+                .find(|l| l.split_whitespace().next() == Some(name));
+            if let Some(line) = printed {
+                assert_eq!(
+                    numbers(row, count),
+                    numbers(line, count),
+                    "EXPERIMENTS.md {section}, row `{name}`"
+                );
+                checked += 1;
+            }
+        }
+        assert!(
+            checked >= 4,
+            "{section}: only {checked} rows matched the golden"
+        );
+    }
+}
